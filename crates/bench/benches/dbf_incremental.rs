@@ -34,14 +34,13 @@ fn bench_full_rebuild(c: &mut Criterion) {
     let (_topo, before, after) = reference_field();
     let alive = vec![true; after.len()];
     let mut dbf = DbfEngine::new(&before, 2);
-    dbf.run_to_convergence(&before);
+    dbf.rebuild_sharded(&before, &alive);
     let mut forward = true;
     c.bench_function("routing/reconverge_full_single_move_169", |b| {
         b.iter(|| {
             let zones = if forward { &after } else { &before };
             forward = !forward;
-            dbf.reset(zones, &alive);
-            std::hint::black_box(dbf.run_to_convergence_masked(zones, &alive))
+            std::hint::black_box(dbf.rebuild_sharded(zones, &alive))
         })
     });
 }
@@ -50,7 +49,7 @@ fn bench_incremental(c: &mut Criterion) {
     let (_topo, before, after) = reference_field();
     let alive = vec![true; after.len()];
     let mut dbf = DbfEngine::new(&before, 2);
-    dbf.run_to_convergence(&before);
+    dbf.rebuild_sharded(&before, &alive);
     let mut forward = true;
     c.bench_function("routing/reconverge_delta_single_move_169", |b| {
         b.iter(|| {
@@ -69,7 +68,7 @@ fn bench_failure_invalidation(c: &mut Criterion) {
     let (_topo, before, _after) = reference_field();
     let mut alive = vec![true; before.len()];
     let mut dbf = DbfEngine::new(&before, 2);
-    dbf.run_to_convergence(&before);
+    dbf.rebuild_sharded(&before, &alive);
     let mut up = false;
     c.bench_function("routing/reconverge_delta_kill_revive_169", |b| {
         b.iter(|| {

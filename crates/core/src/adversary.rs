@@ -7,7 +7,7 @@
 //! per triggering packet), silently swallows traffic, or advertises data it
 //! does not hold. Adversary selection is seeded from the master seed (its
 //! own [`spms_kernel::SimRng`] sub-stream), so the set is deterministic per
-//! run and the knob matrix (shards/workers/kernels/layouts) can never
+//! run and the knob matrix (shards/workers/kernels) can never
 //! change it.
 
 use spms_kernel::SimTime;

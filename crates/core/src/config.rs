@@ -4,7 +4,6 @@ use spms_kernel::SimTime;
 use spms_mac::{ContentionModel, MacTiming};
 use spms_net::{ChurnConfig, ContactPlan, FailureConfig, MobilityConfig, ZoneTable};
 use spms_phy::RadioProfile;
-use spms_routing::TableLayout;
 
 use crate::adversary::AdversaryConfig;
 use crate::PacketSizes;
@@ -418,8 +417,8 @@ pub struct SimConfig {
     pub mobility: Option<MobilityConfig>,
     /// Adversarial node behaviors (None = everyone honest). The adversary
     /// set is drawn from its own master-seed sub-stream, so it is a
-    /// semantic knob like the seed — never affected by shards, workers,
-    /// kernels, or layouts.
+    /// semantic knob like the seed — never affected by shards, workers or
+    /// kernels.
     pub adversary: Option<AdversaryConfig>,
     /// Mass join/leave churn process (None = no churn). Cohorts toggle
     /// liveness per epoch, stressing the incremental zone/DBF paths.
@@ -428,7 +427,7 @@ pub struct SimConfig {
     /// up/down windows fired as timed link flips through the same
     /// delta-batching machinery mobility uses. A semantic knob like
     /// `adversary` — it changes results by design, but never varies with
-    /// shards, workers, kernels, or layouts. Node ids the plan names are
+    /// shards, workers or kernels. Node ids the plan names are
     /// range-checked against the topology when the simulation is built.
     pub contact_plan: Option<ContactPlan>,
     /// Hard stop for the run.
@@ -438,12 +437,6 @@ pub struct SimConfig {
     /// Which event kernel drives the run (a wall-clock knob — results are
     /// byte-identical across all choices; default [`EventKernel::Heap`]).
     pub event_kernel: EventKernel,
-    /// Arena layout for the distributed routing tables (another wall-clock
-    /// knob — results are byte-identical across layouts, proven by the
-    /// layout-differential suites in `spms-routing` and re-checked end to
-    /// end in `tests/integration_determinism.rs`; default
-    /// [`TableLayout::Soa`], with AoS retained as the oracle).
-    pub table_layout: TableLayout,
 }
 
 impl SimConfig {
@@ -490,7 +483,6 @@ impl SimConfig {
             horizon: SimTime::from_secs(600),
             trace_capacity: None,
             event_kernel: EventKernel::Heap,
-            table_layout: TableLayout::Soa,
         }
     }
 

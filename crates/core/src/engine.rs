@@ -528,10 +528,10 @@ impl Simulation {
 
     /// (Re)builds routing tables from scratch. SPIN and flooding keep empty
     /// tables; SPMS uses the configured mode. In Distributed mode the
-    /// persistent [`DbfEngine`] is reset and fully re-converged through
-    /// the shard planner ([`DbfEngine::rebuild_sharded`], bit-identical
-    /// to the sequential reference rebuild) — the path that mobility
-    /// epochs replace with [`Simulation::reconverge_incrementally`] when
+    /// persistent [`DbfEngine`] is reset and fully re-converged
+    /// ([`DbfEngine::rebuild_sharded`], bit-identical for every shard
+    /// count) — the path that mobility epochs replace with
+    /// [`Simulation::reconverge_incrementally`] when
     /// `config.incremental_routing` is set.
     fn build_routing(&mut self) {
         if !matches!(
@@ -551,22 +551,16 @@ impl Simulation {
                 // to/from dead nodes at delivery time and protocols fail
                 // over to their alternative routes, the paper's model.
                 self.tables = oracle_tables(&self.zones, self.config.k_routes);
-                for table in &mut self.tables {
-                    table.convert_layout(self.config.table_layout);
-                }
                 self.dbf = None;
             }
             RoutingMode::Distributed => {
                 let shards = self.resolved_shards();
                 let mut dbf = self.dbf.take().unwrap_or_else(|| {
-                    DbfEngine::new(&self.zones, self.config.k_routes)
-                        .with_shards(shards)
-                        .with_table_layout(self.config.table_layout)
+                    DbfEngine::new(&self.zones, self.config.k_routes).with_shards(shards)
                 });
-                // The sharded full rebuild: reset + full-vector rounds
-                // through the shard planner, bit-identical (tables and
-                // stats) to the sequential reference rebuild, so metrics
-                // stay byte-comparable whatever the host's core count.
+                // Reset + full-vector rounds, bit-identical (tables and
+                // stats) for every shard count, so metrics stay
+                // byte-comparable whatever the host's core count.
                 let stats = dbf.rebuild_sharded(&self.zones, &self.alive);
                 self.dbf = Some(dbf);
                 self.dbf_alive = self.alive.clone();
@@ -747,10 +741,6 @@ impl Simulation {
         self.pause_until = self.pause_until.max(self.now + converge);
         self.routing_cost.executions += 1;
         self.routing_cost.incremental_executions += u64::from(incremental);
-        // Counts plans, not threads: bit-identical across shard counts, so
-        // same-seed metrics compare byte for byte whatever the host offers.
-        let sharded = self.dbf.as_ref().is_some_and(|d| d.shards().is_some());
-        self.routing_cost.sharded_executions += u64::from(incremental && sharded);
         self.routing_cost.rounds += u64::from(stats.rounds);
         self.routing_cost.messages += stats.messages;
         self.routing_cost.bytes += stats.bytes_total;
@@ -1675,10 +1665,6 @@ mod tests {
         assert!(per_epoch.mobility_epochs > 1, "epochs must fire");
         assert_eq!(per_epoch.routing.batch_windows, per_epoch.mobility_epochs);
         assert_eq!(per_epoch.routing.epochs_coalesced, 0);
-        assert_eq!(
-            per_epoch.routing.sharded_executions,
-            per_epoch.routing.incremental_executions
-        );
         // Batching changes convergence pauses and therefore run pacing, so
         // epoch counts need not match across runs — the invariants are per
         // run: one flush per full 3-epoch window, everything else deferred.

@@ -80,5 +80,4 @@ pub use protocol::{Action, NodeProtocol, NodeView, Protocol, TimerKind};
 pub use results::{AdversaryStats, MessageCounts, RoutingCost, RunMetrics};
 pub use spin::SpinNode;
 pub use spms_proto::{SpmsNode, SpmsParams};
-pub use spms_routing::TableLayout;
 pub use traffic::{Generation, Interest, TrafficPlan};

@@ -14,15 +14,6 @@ pub struct RoutingCost {
     /// (scoped to the zones a mobility or failure event touched) rather
     /// than full from-scratch rebuilds.
     pub incremental_executions: u64,
-    /// Delta re-convergences routed through the zone-shard planner
-    /// (`SimConfig::dbf_shards`). Deliberately counts *plans*, not
-    /// threads, so same-seed runs stay byte-comparable across machines
-    /// and shard counts. In the current engine every delta re-convergence
-    /// is planner-executed, so this equals
-    /// [`RoutingCost::incremental_executions`] by construction (asserted
-    /// in tests); it names the execution mode explicitly and will diverge
-    /// only if a sequential-engine escape hatch is ever added.
-    pub sharded_executions: u64,
     /// Re-convergence windows flushed by the mobility-epoch batcher
     /// (`SimConfig::batch_epochs`). With the default window of 1 this
     /// equals the incremental mobility re-convergences; larger windows
@@ -48,7 +39,7 @@ pub struct RoutingCost {
     pub liveness_deltas: u64,
     /// Contact-plan epochs applied (scheduled window boundaries reached).
     /// Counts *plan events*, not rows or threads: byte-identical across
-    /// shard counts, workers, event kernels, and table layouts.
+    /// shard counts, workers and event kernels.
     pub contact_epochs: u64,
     /// Scheduled link up-flips applied (window opens after `t = 0`).
     pub contact_links_up: u64,
@@ -89,7 +80,7 @@ impl MessageCounts {
 ///
 /// Like every other field of [`RunMetrics`] these are **semantic**
 /// quantities: byte-identical across shard counts, worker pools, event
-/// kernels, and table layouts (checked by `tests/integration_adversarial.rs`),
+/// and event kernels (checked by `tests/integration_adversarial.rs`),
 /// and changed only by the seed and the adversary/churn configuration.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AdversaryStats {

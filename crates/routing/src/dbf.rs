@@ -7,40 +7,33 @@
 //! `O(n·e)` convergence bound and argues zone sizes (5–50 nodes) keep it
 //! affordable — our stats let experiments verify that claim directly.
 //!
-//! Two execution modes share the table state:
+//! Two kinds of re-convergence share the table state:
 //!
-//! * **Full rebuild** ([`DbfEngine::reset`] +
-//!   [`DbfEngine::run_to_convergence_masked`]) — the paper's "re-execution
-//!   of the DBF": every table is cleared, direct routes are reinstalled, and
-//!   every node broadcasts its whole vector in round one. Kept as the
-//!   reference oracle the incremental mode is property-tested against.
+//! * **Full rebuild** ([`DbfEngine::rebuild_sharded`]) — the paper's
+//!   "re-execution of the DBF": every table is cleared, direct routes are
+//!   reinstalled, and every node broadcasts its whole vector in round one.
 //! * **Incremental delta rebuild** ([`DbfEngine::update_topology`] /
-//!   [`DbfEngine::invalidate_zone`]) — real distance-vector deployments
-//!   propagate triggered *deltas*, not full vectors. The engine tracks a
-//!   per-node *dirty set* of destinations whose advertised route changed
-//!   since the node's last broadcast; a topology event invalidates only the
-//!   destinations it can actually affect, reseeds their direct routes, and
-//!   re-converges with vectors that carry only the changed entries.
+//!   [`DbfEngine::apply_zone_delta`] / [`DbfEngine::invalidate_zone`]) —
+//!   real distance-vector deployments propagate triggered *deltas*, not
+//!   full vectors. The engine tracks a per-node *dirty set* of
+//!   destinations whose advertised route changed since the node's last
+//!   broadcast; a topology event invalidates only the destinations it can
+//!   actually affect, reseeds their direct routes, and re-converges with
+//!   vectors that carry only the changed entries.
 //!
-//! Both modes additionally come in two executions sharing one semantics:
-//! the **sequential** round loops (the full rebuild is the root oracle of
-//! the equivalence chain, the sequential delta loop the mid-level oracle)
-//! and the **zone-sharded** runners ([`DbfEngine::with_shards`] for the
-//! delta rounds, [`DbfEngine::rebuild_sharded`] for the full rebuild),
-//! which snapshot each round's broadcasts by contiguous **sender** ranges,
-//! scatter them into per-receiver CSR inboxes, partition the receivers
-//! into contiguous id ranges of balanced relaxation load, and run the
-//! ranges on the engine's persistent [`WorkerPool`] (parked between
-//! rounds, woken by a round-barrier handoff; light rounds run inline
-//! without ever starting it). Receivers are the unit of ownership: a
-//! node's table is only ever touched by the shard that owns its id, and
-//! each receiver replays its inbox in exactly the broadcast order the
-//! sequential loop uses, so the merge is a no-op and the tables (and even
-//! the [`DbfStats`]) are bit-identical for *every* shard count — the
-//! property the `sharded` proptest suite pins against both oracles along
-//! the chain sharded-full → sequential-full → sequential-delta →
-//! sharded-delta. Thread count can therefore never change routing
-//! results, only wall-clock time.
+//! Both run on one range-partitioned round loop each. A round snapshots
+//! its broadcasts by contiguous **sender** ranges, scatters them into
+//! per-receiver CSR inboxes, partitions the receivers into contiguous id
+//! ranges of balanced relaxation load ([`DbfEngine::with_shards`] sets the
+//! number of ranges, default 1), and runs the ranges on the engine's
+//! persistent [`WorkerPool`] (parked between rounds, woken by a
+//! round-barrier handoff). A single busy range or a light round runs
+//! inline on the calling thread, so a one-range engine never starts the
+//! pool. Receivers are the unit of ownership: a node's table is only ever
+//! touched by the range that owns its id, and each receiver replays its
+//! inbox in ascending sender order, so the tables and even the
+//! [`DbfStats`] are bit-identical for *every* range count. Thread count
+//! can therefore never change routing results, only wall-clock time.
 //!
 //! The incremental scheme leans on a structural fact of zone routing: a
 //! node only maintains destinations inside its own zone, and every relay on
@@ -50,8 +43,11 @@
 //! adjacent to it (under the old or new zone table), and those routes only
 //! live at those destinations' direct neighbors. Wiping and reseeding that
 //! bounded set, then re-running the exchange restricted to it, provably
-//! reaches the same fixpoint as a from-scratch rebuild — bit-for-bit, which
-//! the `incremental` proptest suite asserts.
+//! reaches the same fixpoint as a from-scratch rebuild — bit-for-bit.
+//!
+//! The tests pin every path against two independent roots: the Dijkstra
+//! construction in [`crate::oracle_tables`] and a plain sequential full
+//! rebuild kept as a reference model in `crates/routing/tests/`.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -73,18 +69,7 @@ use spms_net::{NodeId, ZoneDelta, ZoneTable};
 const SHARD_MIN_LOAD: u64 = 256;
 
 use crate::pool::WorkerPool;
-use crate::{DbfWireFormat, RouteEntry, RoutingTable, TableLayout};
-
-/// A node's broadcast distance vector: its best known cost and hop count to
-/// each destination it maintains (all of them for a full-rebuild round, only
-/// the changed ones for a delta round).
-#[derive(Clone, Debug, PartialEq)]
-pub struct DbfVector {
-    /// The sender.
-    pub from: NodeId,
-    /// `(destination, best cost, best hops)` triples in destination order.
-    pub entries: Vec<(NodeId, f64, u32)>,
-}
+use crate::{DbfWireFormat, RouteEntry, RoutingTable};
 
 /// Cost accounting for one DBF execution.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -113,8 +98,6 @@ struct Scratch {
     snap_entries: Vec<(NodeId, f64, u32)>,
     /// `(sender, start, end)` ranges into `snap_entries`.
     snap_from: Vec<(NodeId, u32, u32)>,
-    /// All-alive mask for [`DbfEngine::run_to_convergence`].
-    all_alive: Vec<bool>,
     /// Membership bitmap for the affected destination set.
     affected: Vec<bool>,
     /// The affected destinations, in id order.
@@ -181,7 +164,7 @@ struct Scratch {
 /// let topo = placement::grid(3, 3, 5.0).unwrap();
 /// let zones = ZoneTable::build(&topo, &RadioProfile::mica2(), 20.0);
 /// let mut dbf = DbfEngine::new(&zones, 2);
-/// dbf.run_to_convergence(&zones);
+/// dbf.rebuild_sharded(&zones, &[true; 9]);
 /// // The corner reaches the opposite corner through an adjacent node.
 /// let best = dbf.table(NodeId::new(0)).best(NodeId::new(8)).unwrap();
 /// assert!(best.hops >= 2);
@@ -195,10 +178,9 @@ pub struct DbfEngine {
     dirty: Vec<BTreeSet<NodeId>>,
     k: usize,
     wire: DbfWireFormat,
-    /// `None` runs the delta rounds sequentially (the mid-level oracle);
-    /// `Some(s)` runs them through the zone-shard planner with `s`
-    /// receiver partitions. Bit-identical either way.
-    shards: Option<usize>,
+    /// Receiver ranges per round (default 1, which always runs inline).
+    /// Results are bit-identical for every value.
+    shards: usize,
     /// The persistent worker pool (`shards - 1` parked threads; the
     /// dispatching thread is the remaining shard), spun up lazily the
     /// first time a round is heavy enough to split and reused for every
@@ -241,7 +223,7 @@ impl DbfEngine {
             dirty: vec![BTreeSet::new(); zones.len()],
             k,
             wire: DbfWireFormat::default(),
-            shards: None,
+            shards: 1,
             pool: None,
             scratch: Scratch::default(),
         };
@@ -256,14 +238,11 @@ impl DbfEngine {
         self
     }
 
-    /// Routes the delta re-convergence through the zone-shard planner with
-    /// `shards` receiver partitions (shards beyond the round's active
-    /// receivers idle). One partition dispatches straight to the
-    /// sequential round loop — a single-core host pays zero planning
-    /// overhead — while [`DbfEngine::shards`] still reports the
-    /// configuration, so accounting that names the execution mode stays
-    /// byte-comparable with a parallel host. Tables and stats are
-    /// bit-identical to the sequential path for every shard count
+    /// Cuts every round into up to `shards` receiver ranges (ranges
+    /// beyond the round's active receivers idle), run on a persistent
+    /// pool of `shards - 1` worker threads plus the calling thread. One
+    /// range — the default — always runs inline and never starts the
+    /// pool. Tables and stats are bit-identical for every shard count
     /// (property-tested).
     ///
     /// # Panics
@@ -272,21 +251,21 @@ impl DbfEngine {
     #[must_use]
     pub fn with_shards(mut self, shards: usize) -> Self {
         assert!(shards > 0, "shards must be at least 1");
-        self.shards = Some(shards);
+        self.shards = shards;
         self
     }
 
-    /// The configured shard count (`None` = sequential delta rounds).
+    /// The configured shard count.
     #[must_use]
-    pub fn shards(&self) -> Option<usize> {
+    pub fn shards(&self) -> usize {
         self.shards
     }
 
     /// Whether the persistent worker pool has been spun up. Observability
     /// for the inline-dispatch taper: an engine whose every round stays
     /// under the pool's load threshold must never start worker threads
-    /// (pinned by tests), so light workloads on a sharded engine pay
-    /// exactly what a sequential engine pays.
+    /// (pinned by tests), so light workloads on a many-shard engine pay
+    /// exactly what a one-shard engine pays.
     #[must_use]
     pub fn pool_started(&self) -> bool {
         self.pool.is_some()
@@ -309,27 +288,6 @@ impl DbfEngine {
         }
     }
 
-    /// Stores every routing table in `layout` ([`TableLayout::Soa`] planes
-    /// by default). The AoS layout is the differential oracle: the layout
-    /// proptest suites replay identical exchanges through both arenas and
-    /// assert bit-identical tables and [`DbfStats`]. Like the shard count,
-    /// the layout can never change routing results, only wall-clock time.
-    #[must_use]
-    pub fn with_table_layout(mut self, layout: TableLayout) -> Self {
-        for table in &mut self.tables {
-            table.convert_layout(layout);
-        }
-        self
-    }
-
-    /// The arena layout the engine's tables are stored in.
-    #[must_use]
-    pub fn table_layout(&self) -> TableLayout {
-        self.tables
-            .first()
-            .map_or_else(TableLayout::default, RoutingTable::layout)
-    }
-
     /// The number of route alternatives kept per destination.
     #[must_use]
     pub fn k(&self) -> usize {
@@ -337,10 +295,8 @@ impl DbfEngine {
     }
 
     /// Reinstalls direct routes from scratch, skipping dead nodes — the
-    /// paper's "re-execution of the DBF" after mobility or failure. This is
-    /// the full-rebuild reference path; [`DbfEngine::update_topology`] is
-    /// the incremental equivalent.
-    pub fn reset(&mut self, zones: &ZoneTable, alive: &[bool]) {
+    /// opening step of [`DbfEngine::rebuild_sharded`].
+    fn reset(&mut self, zones: &ZoneTable, alive: &[bool]) {
         assert_eq!(alive.len(), zones.len(), "alive mask length mismatch");
         for table in &mut self.tables {
             table.clear();
@@ -373,42 +329,34 @@ impl DbfEngine {
         }
     }
 
-    /// The full rebuild through the shard planner: [`DbfEngine::reset`]
-    /// plus synchronous full-vector rounds executed across the
-    /// configured shard count on the engine's persistent worker pool —
-    /// the parallel equivalent of `reset` +
-    /// [`DbfEngine::run_to_convergence_masked`], which stays verbatim as
-    /// the root oracle this path is property-tested against (tables
-    /// **and** stats bit-identical for every shard count).
+    /// The full rebuild: every table is cleared and its direct routes
+    /// reinstalled, then synchronous full-vector rounds run until
+    /// quiescence — the paper's "re-execution of the DBF" after mobility
+    /// or failure. In round 1 every alive node broadcasts; thereafter only
+    /// nodes whose table changed in the previous round do. A round's
+    /// vectors are snapshotted before any relaxation, so the exchange is
+    /// order-independent and deterministic.
     ///
     /// Each round scatters the previous round's broadcasts into
-    /// per-receiver CSR inboxes exactly like the sharded delta rounds,
-    /// then each receiver range relaxes its inboxes and immediately
-    /// flattens its own changed tables into shard-local buffers for the
-    /// next round's snapshot (concatenated in id order — byte-identical
-    /// to the sequential sender-order arena). Light rounds run inline —
-    /// a single-core host (or an unsharded engine) dispatches straight
-    /// to the sequential loop and never starts the pool.
+    /// per-receiver CSR inboxes, then each receiver range relaxes its
+    /// inboxes and immediately flattens its own changed tables into
+    /// range-local buffers for the next round's snapshot (concatenated in
+    /// id order). Light rounds run inline.
     ///
     /// # Panics
     ///
     /// Panics if the alive mask length does not match, or if the exchange
-    /// fails to converge within the same bound as the sequential rebuild.
+    /// fails to converge within a generous bound (which would indicate a
+    /// negative-cost or bookkeeping bug, as positive-weight DBF always
+    /// converges).
     pub fn rebuild_sharded(&mut self, zones: &ZoneTable, alive: &[bool]) -> DbfStats {
         self.reset(zones, alive);
-        match self.shards {
-            // One partition replays the sequential order by construction:
-            // dispatch to the root oracle loop itself.
-            None | Some(1) => self.run_to_convergence_masked(zones, alive),
-            Some(shards) => {
-                let mut stats = DbfStats {
-                    per_node_bytes: vec![0; zones.len()],
-                    ..DbfStats::default()
-                };
-                self.run_full_rounds_sharded(zones, alive, shards, &mut stats);
-                stats
-            }
-        }
+        let mut stats = DbfStats {
+            per_node_bytes: vec![0; zones.len()],
+            ..DbfStats::default()
+        };
+        self.run_full_rounds(zones, alive, self.shards, &mut stats);
+        stats
     }
 
     /// The routing table of `node`.
@@ -428,173 +376,6 @@ impl DbfEngine {
     #[must_use]
     pub fn into_tables(self) -> Vec<RoutingTable> {
         self.tables
-    }
-
-    /// Builds the full distance vector `node` would broadcast now.
-    #[must_use]
-    pub fn vector_of(&self, node: NodeId) -> DbfVector {
-        let mut entries = Vec::new();
-        self.tables[node.index()].append_vector(&mut entries);
-        DbfVector {
-            from: node,
-            entries,
-        }
-    }
-
-    /// Builds the *delta* vector `node` would broadcast now: only the
-    /// destinations whose entries changed since the node's last broadcast.
-    /// Destinations that were invalidated and have no route again yet are
-    /// silently omitted (their maintainers were invalidated by the same
-    /// event, so there is no stale state to withdraw).
-    #[must_use]
-    pub fn delta_vector_of(&self, node: NodeId) -> DbfVector {
-        let table = &self.tables[node.index()];
-        let entries = self.dirty[node.index()]
-            .iter()
-            .filter_map(|&d| table.best(d).map(|e| (d, e.cost, e.hops)))
-            .collect();
-        DbfVector {
-            from: node,
-            entries,
-        }
-    }
-
-    /// Applies a received vector at `at`: relaxes `at`'s table with routes
-    /// via the sender and records any changed destination in `at`'s dirty
-    /// set (the trigger state for its next delta broadcast). Returns `true`
-    /// if the table changed.
-    pub fn receive(&mut self, at: NodeId, vector: &DbfVector, zones: &ZoneTable) -> bool {
-        let Some(link) = zones.link_to(at, vector.from) else {
-            return false; // sender out of zone (stale broadcast after a move)
-        };
-        self.apply_entries(at, vector.from, link.weight, &vector.entries, zones)
-    }
-
-    /// Relaxation inner loop shared by both execution modes. `w` is the
-    /// receiver's link weight to the sender (symmetric for a shared radio
-    /// profile, so the broadcast loop can pass the sender-side weight).
-    fn apply_entries(
-        &mut self,
-        at: NodeId,
-        from: NodeId,
-        w: f64,
-        entries: &[(NodeId, f64, u32)],
-        zones: &ZoneTable,
-    ) -> bool {
-        let table = &mut self.tables[at.index()];
-        let dirty = &mut self.dirty[at.index()];
-        let mut changed = false;
-        for &(dest, cost, hops) in entries {
-            if dest == at {
-                continue;
-            }
-            // Zone scoping: `at` only maintains destinations in its own zone.
-            if !zones.in_zone(at, dest) {
-                continue;
-            }
-            if table.offer(
-                dest,
-                RouteEntry {
-                    via: from,
-                    cost: w + cost,
-                    hops: hops + 1,
-                },
-            ) {
-                dirty.insert(dest);
-                changed = true;
-            }
-        }
-        changed
-    }
-
-    /// Runs synchronous rounds until quiescence with every node alive.
-    pub fn run_to_convergence(&mut self, zones: &ZoneTable) -> DbfStats {
-        let mut all_alive = std::mem::take(&mut self.scratch.all_alive);
-        all_alive.clear();
-        all_alive.resize(zones.len(), true);
-        let stats = self.run_to_convergence_masked(zones, &all_alive);
-        self.scratch.all_alive = all_alive;
-        stats
-    }
-
-    /// Runs synchronous rounds until quiescence, excluding dead nodes — the
-    /// full-rebuild reference path.
-    ///
-    /// Triggered-update semantics: in round 1 every (alive) node broadcasts;
-    /// thereafter only nodes whose table changed in the previous round do.
-    /// Vectors within a round are snapshotted first, so the exchange is
-    /// order-independent and deterministic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the alive mask length does not match, or if the exchange
-    /// fails to converge within a generous bound (which would indicate a
-    /// negative-cost or bookkeeping bug, as positive-weight DBF always
-    /// converges).
-    pub fn run_to_convergence_masked(&mut self, zones: &ZoneTable, alive: &[bool]) -> DbfStats {
-        assert_eq!(alive.len(), zones.len(), "alive mask length mismatch");
-        let n = zones.len();
-        let mut stats = DbfStats {
-            per_node_bytes: vec![0; n],
-            ..DbfStats::default()
-        };
-        let mut pending = std::mem::take(&mut self.scratch.pending);
-        pending.clear();
-        pending.extend_from_slice(alive);
-        // Positive weights: path costs strictly increase with hops, so
-        // convergence takes at most diameter+2 rounds; n+4 is a safe bound.
-        let max_rounds = (n as u32).max(8) + 4;
-
-        for _round in 0..max_rounds {
-            stats.rounds += 1;
-            if pending.iter().all(|&p| !p) {
-                self.scratch.pending = pending;
-                // A full convergence leaves no triggered updates behind.
-                for set in &mut self.dirty {
-                    set.clear();
-                }
-                return stats; // quiescent: nobody has updates to send
-            }
-            // Snapshot the vectors of every broadcasting node into the flat
-            // arena (reused across rounds — no per-vector allocations).
-            let mut snap_entries = std::mem::take(&mut self.scratch.snap_entries);
-            let mut snap_from = std::mem::take(&mut self.scratch.snap_from);
-            snap_entries.clear();
-            snap_from.clear();
-            for i in 0..n {
-                if !(pending[i] && alive[i]) {
-                    continue;
-                }
-                let start = snap_entries.len() as u32;
-                self.tables[i].append_vector(&mut snap_entries);
-                snap_from.push((NodeId::new(i as u32), start, snap_entries.len() as u32));
-            }
-            let mut next_pending = std::mem::take(&mut self.scratch.next_pending);
-            next_pending.clear();
-            next_pending.resize(n, false);
-            for &(from, start, end) in &snap_from {
-                let entries = &snap_entries[start as usize..end as usize];
-                stats.messages += 1;
-                stats.entries_sent += entries.len() as u64;
-                let bytes = u64::from(self.wire.message_bytes(entries.len()));
-                stats.bytes_total += bytes;
-                stats.per_node_bytes[from.index()] += bytes;
-                for link in zones.links(from) {
-                    let to = link.neighbor;
-                    if !alive[to.index()] {
-                        continue;
-                    }
-                    if self.apply_entries(to, from, link.weight, entries, zones) {
-                        next_pending[to.index()] = true;
-                    }
-                }
-            }
-            self.scratch.snap_entries = snap_entries;
-            self.scratch.snap_from = snap_from;
-            // Retire the drained flags buffer for reuse next round.
-            self.scratch.next_pending = std::mem::replace(&mut pending, next_pending);
-        }
-        panic!("DBF failed to converge within {max_rounds} rounds");
     }
 
     /// Incrementally re-converges after a node liveness event (failure or
@@ -622,8 +403,8 @@ impl DbfEngine {
     /// Those destinations are invalidated at their maintainers, direct
     /// routes are reseeded, and the delta exchange re-converges just that
     /// slice of the network. Tables end bit-identical to a from-scratch
-    /// [`DbfEngine::reset`] + [`DbfEngine::run_to_convergence_masked`]
-    /// rebuild (property-tested), at a fraction of the cost.
+    /// [`DbfEngine::rebuild_sharded`] (property-tested), at a fraction of
+    /// the cost.
     ///
     /// # Panics
     ///
@@ -659,16 +440,10 @@ impl DbfEngine {
                 affected[link.neighbor.index()] = true;
             }
         }
-        // Pending triggered updates (e.g. manual `receive` calls since the
-        // last convergence) are flushed by folding their destinations into
-        // the invalidated set: the wipe-and-reconverge re-derives those
-        // routes from the actual topology, and the delta rounds can assume
-        // every dirty destination has a dense index.
-        for set in &self.dirty {
-            for &d in set {
-                affected[d.index()] = true;
-            }
-        }
+        // Every exchange drains the dirty sets before it returns, so the
+        // delta rounds can assume each dirty destination they meet was
+        // reseeded below and has a dense index.
+        debug_assert!(self.dirty.iter().all(BTreeSet::is_empty));
         let mut dests = std::mem::take(&mut self.scratch.dests);
         dests.clear();
         dests.extend(
@@ -737,8 +512,7 @@ impl DbfEngine {
         // Affected destinations: the patch already rebuilt the rows of
         // every moved node and everyone inside its old or new zone —
         // `changed_nodes` is exactly that set. Liveness flips add their
-        // own (unchanged) zones, and pending triggered updates are flushed
-        // as in `update_topology`.
+        // own (unchanged) zones.
         let mut affected = std::mem::take(&mut self.scratch.affected);
         affected.clear();
         affected.resize(n, false);
@@ -751,11 +525,7 @@ impl DbfEngine {
                 affected[link.neighbor.index()] = true;
             }
         }
-        for set in &self.dirty {
-            for &d in set {
-                affected[d.index()] = true;
-            }
-        }
+        debug_assert!(self.dirty.iter().all(BTreeSet::is_empty));
         let mut dests = std::mem::take(&mut self.scratch.dests);
         dests.clear();
         dests.extend(
@@ -805,8 +575,8 @@ impl DbfEngine {
     /// old-adjacency wipes already done): wipes every maintainer's routes
     /// to the affected destinations under the **new** adjacency, reseeds
     /// the surviving direct routes, precomputes the delta-round zone
-    /// scoping, and re-converges — sequentially or through the zone-shard
-    /// planner, per [`DbfEngine::with_shards`].
+    /// scoping, and re-converges through the range-partitioned delta
+    /// rounds.
     fn reconverge_affected(&mut self, zones: &ZoneTable, alive: &[bool], stats: &mut DbfStats) {
         let n = zones.len();
         let dests = std::mem::take(&mut self.scratch.dests);
@@ -883,62 +653,22 @@ impl DbfEngine {
         self.scratch.dest_index = dest_index;
         self.scratch.member = member;
 
-        match self.shards {
-            // One partition would replay the sequential order anyway: skip
-            // the planner (inbox scatter, bounds) entirely. `shards()`
-            // still reports the configuration for mode accounting.
-            None | Some(1) => self.run_delta_rounds(zones, alive, stats),
-            Some(shards) => self.run_delta_rounds_sharded(zones, alive, shards, stats),
-        }
+        self.run_delta_rounds(zones, alive, self.shards, stats);
     }
 
-    /// Drains every alive node's dirty set into the snapshot arena: the
-    /// round opening shared verbatim by the sequential and sharded delta
-    /// loops, so the two executions can never drift apart on what gets
-    /// broadcast. Dead broadcasters clear silently; an all-withdrawn delta
-    /// has nothing to say (its neighbors were invalidated by the same
-    /// event, so silence is correct).
+    /// Drains every alive node's dirty set into the snapshot arena. Dead
+    /// broadcasters clear silently; an all-withdrawn delta has nothing to
+    /// say (its neighbors were invalidated by the same event, so silence
+    /// is correct).
+    ///
+    /// The sender id space is cut into contiguous ranges of balanced
+    /// dirty-entry count; each range flattens its vectors (and drains its
+    /// dirty sets) into a range-local buffer on the worker pool, and the
+    /// buffers are concatenated in range (= sender id) order — the arena
+    /// the inline walk builds, byte for byte. Light rounds (or a single
+    /// busy range) run the inline walk, so the pool is only ever paid for
+    /// when it pays off.
     fn snapshot_delta_round(
-        &mut self,
-        alive: &[bool],
-        snap_entries: &mut Vec<(NodeId, f64, u32)>,
-        snap_from: &mut Vec<(NodeId, u32, u32)>,
-    ) {
-        snap_entries.clear();
-        snap_from.clear();
-        for (i, &up) in alive.iter().enumerate() {
-            if self.dirty[i].is_empty() {
-                continue;
-            }
-            if !up {
-                self.dirty[i].clear();
-                continue;
-            }
-            let start = snap_entries.len() as u32;
-            let table = &self.tables[i];
-            snap_entries.extend(
-                self.dirty[i]
-                    .iter()
-                    .filter_map(|&d| table.best(d).map(|e| (d, e.cost, e.hops))),
-            );
-            self.dirty[i].clear();
-            if snap_entries.len() as u32 == start {
-                continue;
-            }
-            snap_from.push((NodeId::new(i as u32), start, snap_entries.len() as u32));
-        }
-    }
-
-    /// [`DbfEngine::snapshot_delta_round`] by **sender shard**: cuts the
-    /// sender id space into contiguous ranges of balanced dirty-entry
-    /// count, lets each range flatten its vectors (and drain its dirty
-    /// sets) into a shard-local buffer on the worker pool, and
-    /// concatenates the buffers in shard (= sender id) order — the exact
-    /// arena the sequential helper builds, byte for byte. Light rounds
-    /// (or a single busy range) fall through to the sequential helper, so
-    /// the snapshot's sequential residue is only ever paid when it is too
-    /// small to matter.
-    fn snapshot_delta_round_sharded(
         &mut self,
         alive: &[bool],
         shards: usize,
@@ -950,7 +680,29 @@ impl DbfEngine {
         snd_load.extend(self.dirty.iter().map(|d| d.len() as u64));
         let mut snd_bounds = std::mem::take(&mut self.scratch.snd_bounds);
         if !plan_sender_shards(&snd_load, shards, &mut snd_bounds) {
-            self.snapshot_delta_round(alive, snap_entries, snap_from);
+            snap_entries.clear();
+            snap_from.clear();
+            for (i, &up) in alive.iter().enumerate() {
+                if self.dirty[i].is_empty() {
+                    continue;
+                }
+                if !up {
+                    self.dirty[i].clear();
+                    continue;
+                }
+                let start = snap_entries.len() as u32;
+                let table = &self.tables[i];
+                snap_entries.extend(
+                    self.dirty[i]
+                        .iter()
+                        .filter_map(|&d| table.best(d).map(|e| (d, e.cost, e.hops))),
+                );
+                self.dirty[i].clear();
+                if snap_entries.len() as u32 == start {
+                    continue;
+                }
+                snap_from.push((NodeId::new(i as u32), start, snap_entries.len() as u32));
+            }
         } else {
             let pool = self.pool(shards);
             snap_entries.clear();
@@ -1023,13 +775,11 @@ impl DbfEngine {
         self.scratch.snd_bounds = snd_bounds;
     }
 
-    /// The full-rebuild round snapshot by sender shard: every `pending`
-    /// alive node flattens its **whole** table (a node with an empty table
-    /// still broadcasts an empty vector, exactly as the sequential loop
-    /// counts it). Same range/concatenate discipline as
-    /// [`DbfEngine::snapshot_delta_round_sharded`]; the sequential
-    /// fallback reproduces the root oracle's snapshot verbatim.
-    fn snapshot_full_round_sharded(
+    /// The full-rebuild round snapshot: every `pending` alive node flattens
+    /// its **whole** table (a node with an empty table still broadcasts an
+    /// empty vector, which counts as a message). Same range/concatenate
+    /// discipline as [`DbfEngine::snapshot_delta_round`].
+    fn snapshot_full_round(
         &mut self,
         alive: &[bool],
         pending: &[bool],
@@ -1051,11 +801,6 @@ impl DbfEngine {
         );
         let mut snd_bounds = std::mem::take(&mut self.scratch.snd_bounds);
         if !plan_sender_shards(&snd_load, shards, &mut snd_bounds) {
-            // Deliberately a hand-written copy of the root oracle's
-            // snapshot (run_to_convergence_masked), NOT a shared helper:
-            // the oracle stays independent of the sharded machinery so the
-            // differential proptests compare two genuinely separate
-            // constructions. Drift here is pinned by tests/sharded.rs.
             for i in 0..alive.len() {
                 if !(pending[i] && alive[i]) {
                     continue;
@@ -1110,10 +855,10 @@ impl DbfEngine {
         self.scratch.snd_bounds = snd_bounds;
     }
 
-    /// Wire accounting for one round's snapshot, shared by both delta
-    /// loops. All sums are integers, so accumulation order cannot affect
-    /// the totals — the sharded rounds stay byte-identical to the
-    /// sequential ones on every stats field.
+    /// Wire accounting for one round's snapshot, shared by the delta and
+    /// full-rebuild loops. All sums are integers, so accumulation order
+    /// cannot affect the totals — every stats field is byte-identical
+    /// across shard counts.
     fn account_delta_round(&self, snap_from: &[(NodeId, u32, u32)], stats: &mut DbfStats) {
         for &(from, start, end) in snap_from {
             let len = (end - start) as usize;
@@ -1126,71 +871,10 @@ impl DbfEngine {
     }
 
     /// Delta rounds: only nodes with a non-empty dirty set broadcast, and
-    /// their vectors carry only the dirty destinations. Quiesces when every
-    /// dirty set drains.
-    fn run_delta_rounds(&mut self, zones: &ZoneTable, alive: &[bool], stats: &mut DbfStats) {
-        let n = zones.len();
-        let nd = self.scratch.dests.len();
-        let dest_index = std::mem::take(&mut self.scratch.dest_index);
-        let member = std::mem::take(&mut self.scratch.member);
-        let max_rounds = (n as u32).max(8) + 4;
-        for _round in 0..max_rounds {
-            stats.rounds += 1;
-            if self.dirty.iter().all(BTreeSet::is_empty) {
-                self.scratch.dest_index = dest_index;
-                self.scratch.member = member;
-                return; // quiescent: no triggered updates left
-            }
-            let mut snap_entries = std::mem::take(&mut self.scratch.snap_entries);
-            let mut snap_from = std::mem::take(&mut self.scratch.snap_from);
-            self.snapshot_delta_round(alive, &mut snap_entries, &mut snap_from);
-            self.account_delta_round(&snap_from, stats);
-            for &(from, start, end) in &snap_from {
-                let entries = &snap_entries[start as usize..end as usize];
-                for link in zones.links(from) {
-                    let to = link.neighbor;
-                    if !alive[to.index()] {
-                        continue;
-                    }
-                    // Scoped relaxation: every delta entry targets an
-                    // affected destination, so zone membership is one
-                    // bitmap load (self-routes are excluded because a node
-                    // never links to itself).
-                    let base = to.index() * nd;
-                    let table = &mut self.tables[to.index()];
-                    let dirty = &mut self.dirty[to.index()];
-                    // Delta vectors are in destination order: one ascending
-                    // offer cursor per (vector, receiver) replay.
-                    let mut cursor = 0usize;
-                    for &(dest, cost, hops) in entries {
-                        let di = dest_index[dest.index()] as usize;
-                        if !member[base + di] {
-                            continue;
-                        }
-                        if table.offer_ascending(
-                            dest,
-                            RouteEntry {
-                                via: from,
-                                cost: link.weight + cost,
-                                hops: hops + 1,
-                            },
-                            &mut cursor,
-                        ) {
-                            dirty.insert(dest);
-                        }
-                    }
-                }
-            }
-            self.scratch.snap_entries = snap_entries;
-            self.scratch.snap_from = snap_from;
-        }
-        panic!("incremental DBF failed to converge within {max_rounds} rounds");
-    }
-
-    /// Delta rounds through the zone-shard planner: same semantics as
-    /// [`DbfEngine::run_delta_rounds`], executed on the engine's
-    /// persistent [`WorkerPool`] (up to `shards` threads counting the
-    /// dispatcher) per round.
+    /// their vectors carry only the dirty destinations; the exchange
+    /// quiesces when every dirty set drains. Heavy rounds run on the
+    /// engine's persistent [`WorkerPool`] (up to `shards` threads counting
+    /// the dispatcher).
     ///
     /// Each round scatters the previous snapshot's broadcasts into
     /// per-receiver *inboxes* (a CSR over receiver ids, each inbox in
@@ -1198,22 +882,21 @@ impl DbfEngine {
     /// round is heavy), cuts the receiver id space into contiguous ranges
     /// of balanced relaxation load, and hands every range its disjoint
     /// slice of tables and dirty sets. A receiver replays its inbox in
-    /// the same order the sequential loop would deliver it, and no table
-    /// is shared between ranges, so the input-order-preserving reduction
-    /// is simply "the slices land back where they were cut" — results are
-    /// bit-identical for every shard count, including 1 (which never
-    /// touches the pool).
+    /// ascending sender order, and no table is shared between ranges, so
+    /// the input-order-preserving reduction is simply "the slices land
+    /// back where they were cut" — results are bit-identical for every
+    /// shard count, including 1 (which never touches the pool).
     ///
     /// The next round's snapshot is **fused** into the relaxation
     /// dispatch: as soon as a range finishes relaxing it drains its own
-    /// receivers' dirty sets into shard-local buffers while other ranges
+    /// receivers' dirty sets into range-local buffers while other ranges
     /// are still relaxing, and the barrier's only sequential residue is
     /// concatenating those buffers in id order. The drain is textually
     /// the same flatten the round-opening snapshot performs, just
     /// executed one barrier early — the arena it produces is
-    /// byte-identical, which keeps the whole fused loop on the
-    /// sequential oracle's fixpoint (property-tested, tables and stats).
-    fn run_delta_rounds_sharded(
+    /// byte-identical to the unfused round's (property-tested, tables and
+    /// stats).
+    fn run_delta_rounds(
         &mut self,
         zones: &ZoneTable,
         alive: &[bool],
@@ -1223,16 +906,15 @@ impl DbfEngine {
         let n = zones.len();
         let nd = self.scratch.dests.len();
         let max_rounds = (n as u32).max(8) + 4;
-        // Round 1 opening: the same quiescence check and dirty-set drain
-        // the sequential loop's first iteration performs. Every later
-        // round's snapshot is fused into the dispatch below.
+        // Round 1 opening: the quiescence check and the dirty-set drain.
+        // Every later round's snapshot is fused into the dispatch below.
         stats.rounds += 1;
         if self.dirty.iter().all(BTreeSet::is_empty) {
             return; // quiescent: no triggered updates left
         }
         let mut snap_entries = std::mem::take(&mut self.scratch.snap_entries);
         let mut snap_from = std::mem::take(&mut self.scratch.snap_from);
-        self.snapshot_delta_round_sharded(alive, shards, &mut snap_entries, &mut snap_from);
+        self.snapshot_delta_round(alive, shards, &mut snap_entries, &mut snap_from);
         self.account_delta_round(&snap_from, stats);
         let dest_index = std::mem::take(&mut self.scratch.dest_index);
         let member = std::mem::take(&mut self.scratch.member);
@@ -1306,12 +988,7 @@ impl DbfEngine {
                     snap_entries.clear();
                     snap_from.clear();
                 } else {
-                    self.snapshot_delta_round_sharded(
-                        alive,
-                        shards,
-                        &mut snap_entries,
-                        &mut snap_from,
-                    );
+                    self.snapshot_delta_round(alive, shards, &mut snap_entries, &mut snap_from);
                 }
             } else {
                 let pool = self.pool(shards);
@@ -1424,10 +1101,9 @@ impl DbfEngine {
                 self.scratch.shard_from = shard_from;
                 self.scratch.range_had = range_had;
             }
-            // The loop-top bookkeeping of the sequential formulation,
-            // shifted to the barrier: count the round the snapshot
-            // belongs to, return on the final silent round, account
-            // otherwise.
+            // Round bookkeeping at the barrier: count the round the
+            // snapshot belongs to, return on the final silent round,
+            // account otherwise.
             stats.rounds += 1;
             if quiet {
                 self.scratch.dest_index = dest_index;
@@ -1445,24 +1121,23 @@ impl DbfEngine {
             }
             self.account_delta_round(&snap_from, stats);
         }
-        panic!("sharded incremental DBF failed to converge within {max_rounds} rounds");
+        panic!("incremental DBF failed to converge within {max_rounds} rounds");
     }
 
-    /// Full-rebuild rounds through the shard planner: the execution body of
-    /// [`DbfEngine::rebuild_sharded`]. Semantics are exactly
-    /// [`DbfEngine::run_to_convergence_masked`] — round 1 every alive node
-    /// broadcasts its whole vector, thereafter only nodes whose table
-    /// changed in the previous round do, and a round's vectors are
-    /// snapshotted before any relaxation — executed on the engine's
-    /// persistent [`WorkerPool`] for the sender-sharded round-1 snapshot,
-    /// the receiver-range inbox scatter, and the receiver-sharded
-    /// relaxation, with each later round's snapshot fused into the
-    /// relaxation dispatch (a range flattens its changed tables as soon
-    /// as its own relax finishes, exactly like the delta loop). Receivers
-    /// replay their CSR inboxes in broadcast order over disjoint table
-    /// slices, so tables, pending flags, and every stats field land
-    /// bit-identical to the sequential rebuild.
-    fn run_full_rounds_sharded(
+    /// Full-rebuild rounds: the execution body of
+    /// [`DbfEngine::rebuild_sharded`]. Round 1 every alive node broadcasts
+    /// its whole vector, thereafter only nodes whose table changed in the
+    /// previous round do, and a round's vectors are snapshotted before any
+    /// relaxation. Heavy rounds run on the engine's persistent
+    /// [`WorkerPool`] for the sender-sharded round-1 snapshot, the
+    /// receiver-range inbox scatter, and the receiver-sharded relaxation,
+    /// with each later round's snapshot fused into the relaxation dispatch
+    /// (a range flattens its changed tables as soon as its own relax
+    /// finishes, exactly like the delta loop). Receivers replay their CSR
+    /// inboxes in broadcast order over disjoint table slices, so tables,
+    /// pending flags, and every stats field are bit-identical for every
+    /// shard count.
+    fn run_full_rounds(
         &mut self,
         zones: &ZoneTable,
         alive: &[bool],
@@ -1473,30 +1148,20 @@ impl DbfEngine {
         let n = zones.len();
         let max_rounds = (n as u32).max(8) + 4;
         // Round 1 opening: every alive node is pending and broadcasts its
-        // whole (direct-routes-only) vector — the sequential rebuild's
-        // first iteration. Later rounds' snapshots are fused below.
+        // whole (direct-routes-only) vector. Later rounds' snapshots are
+        // fused below. Dirty sets stay empty throughout: `reset` cleared
+        // them and full rounds track changes in pending flags instead.
         let mut pending = std::mem::take(&mut self.scratch.pending);
         pending.clear();
         pending.extend_from_slice(alive);
         stats.rounds += 1;
         if pending.iter().all(|&p| !p) {
             self.scratch.pending = pending;
-            // A full convergence leaves no triggered updates behind —
-            // the same postcondition the sequential rebuild restores.
-            for set in &mut self.dirty {
-                set.clear();
-            }
             return; // quiescent: nobody has updates to send
         }
         let mut snap_entries = std::mem::take(&mut self.scratch.snap_entries);
         let mut snap_from = std::mem::take(&mut self.scratch.snap_from);
-        self.snapshot_full_round_sharded(
-            alive,
-            &pending,
-            shards,
-            &mut snap_entries,
-            &mut snap_from,
-        );
+        self.snapshot_full_round(alive, &pending, shards, &mut snap_entries, &mut snap_from);
         self.account_delta_round(&snap_from, stats);
         let mut next_pending = std::mem::take(&mut self.scratch.next_pending);
         let mut inbox_start = std::mem::take(&mut self.scratch.inbox_start);
@@ -1563,7 +1228,7 @@ impl DbfEngine {
                     snap_entries.clear();
                     snap_from.clear();
                 } else {
-                    self.snapshot_full_round_sharded(
+                    self.snapshot_full_round(
                         alive,
                         &next_pending,
                         shards,
@@ -1638,11 +1303,11 @@ impl DbfEngine {
                     }
                     // Fused next-round snapshot: a changed (= flagged)
                     // node always broadcasts its whole vector, empty or
-                    // not — the same unconditional push the sequential
+                    // not — the same unconditional push the inline
                     // snapshot performs. Flags are only ever set for
                     // alive receivers (dead nodes get no deliveries), so
-                    // the `alive` guard mirrors the oracle's check
-                    // without changing behavior.
+                    // the `alive` guard mirrors the inline snapshot's
+                    // check without changing behavior.
                     for (off, &flag) in t.flags.iter().enumerate() {
                         let i = t.lo + off;
                         if !(flag && alive[i]) {
@@ -1681,16 +1346,11 @@ impl DbfEngine {
                 self.scratch.msg_of = msg_of;
                 self.scratch.snap_entries = snap_entries;
                 self.scratch.snap_from = snap_from;
-                // A full convergence leaves no triggered updates behind —
-                // the same postcondition the sequential rebuild restores.
-                for set in &mut self.dirty {
-                    set.clear();
-                }
                 return; // quiescent: nobody has updates to send
             }
             self.account_delta_round(&snap_from, stats);
         }
-        panic!("sharded full DBF rebuild failed to converge within {max_rounds} rounds");
+        panic!("DBF failed to converge within {max_rounds} rounds");
     }
 }
 
@@ -1698,8 +1358,8 @@ impl DbfEngine {
 /// total load, writing the boundary ids into `bounds`
 /// (`bounds[i]..bounds[i+1]`; always covers the whole id space). Returns
 /// the total load, the caller's pool-dispatch threshold input. Shared by
-/// the receiver planner of both sharded round loops and the sender planner
-/// of the sharded snapshots.
+/// the receiver planner of both round loops and the sender planner of the
+/// snapshots.
 fn plan_bounds(load: &[u64], shards: usize, bounds: &mut Vec<usize>) -> u64 {
     let n = load.len();
     let total: u64 = load.iter().sum();
@@ -1724,7 +1384,7 @@ fn plan_bounds(load: &[u64], shards: usize, bounds: &mut Vec<usize>) -> u64 {
 /// of balanced snapshot weight (via [`plan_bounds`] into `snd_bounds`) and
 /// decides whether shard threads pay off — more than one busy range and a
 /// total weight at or above [`SHARD_MIN_LOAD`]. Returns `false` when the
-/// caller should fall back to its sequential snapshot. Shared by the delta
+/// caller should run its inline snapshot. Shared by the delta
 /// and full-rebuild snapshot scatters, so the spawn policy cannot drift
 /// between them.
 fn plan_sender_shards(snd_load: &[u64], shards: usize, snd_bounds: &mut Vec<usize>) -> bool {
@@ -1737,12 +1397,12 @@ fn plan_sender_shards(snd_load: &[u64], shards: usize, snd_bounds: &mut Vec<usiz
 }
 
 /// Scatters one round's broadcasts into per-receiver CSR inboxes.
-/// Iterating senders in snapshot order makes every inbox replay the exact
-/// delivery order of the sequential loop. Fills `inbox_start` (`n + 1`
+/// Iterating senders in snapshot order makes every inbox replay its
+/// vectors in ascending sender order. Fills `inbox_start` (`n + 1`
 /// prefix entries), `inbox_msg`/`inbox_weight` (one slot per delivery) and
 /// `load` (per-receiver relaxation entries — the shard planner's balancing
-/// weight); `fill` is cursor scratch. Shared by the sharded delta rounds
-/// and the sharded full rebuild.
+/// weight); `fill` is cursor scratch. Shared by the delta rounds and the
+/// full rebuild.
 #[allow(clippy::too_many_arguments)]
 fn scatter_inboxes(
     zones: &ZoneTable,
@@ -1855,7 +1515,7 @@ struct ScatterPlaceTask<'a> {
 }
 
 /// [`scatter_inboxes`] by receiver range on the worker pool, producing a
-/// byte-identical CSR. The sequential scatter is sender-driven — each
+/// byte-identical CSR. The inline scatter is sender-driven — each
 /// broadcast pushes into per-receiver cursors, an inherently serial
 /// pointer chase over random receivers. The pooled scatter inverts it:
 /// every receiver range **pulls** from its own zone links. That leans on
@@ -1864,7 +1524,7 @@ struct ScatterPlaceTask<'a> {
 /// links(b)`; both rows are computed from the same Euclidean distance and
 /// radio profile), and links are stored in ascending neighbor id — which
 /// is exactly ascending snapshot order, so a pulled inbox replays the
-/// same broadcast order the sequential scatter delivers. Count and
+/// same broadcast order the inline scatter delivers. Count and
 /// placement are both range-parallel (a range owns its count slice and
 /// its contiguous CSR segment); the only sequential residue is the O(n)
 /// prefix sum and the O(n + messages) sender index.
@@ -1988,7 +1648,7 @@ fn scatter_inboxes_pooled(
 /// Concatenates shard-local snapshot buffers into the round arena in shard
 /// (= ascending sender id) order, rebasing each shard's `(sender, start,
 /// end)` ranges onto the concatenated entry array — the output is the
-/// byte-identical arena the sequential snapshot builds.
+/// byte-identical arena the inline snapshot builds.
 fn concat_snapshots(
     shard_entries: &[Vec<(NodeId, f64, u32)>],
     shard_from: &[Vec<(NodeId, u32, u32)>],
@@ -2002,7 +1662,7 @@ fn concat_snapshots(
     }
 }
 
-/// One receiver's relaxation for one sharded round: replays the inbox
+/// One receiver's relaxation for one delta round: replays the inbox
 /// (vector indexes + link weights, in broadcast order) against the
 /// receiver's table, recording changed destinations in its dirty set.
 /// `member_base` is the receiver's row offset into the scoping bitmap.
@@ -2045,9 +1705,9 @@ fn relax_inbox(
     }
 }
 
-/// One receiver's relaxation for one **full-rebuild** sharded round: like
+/// One receiver's relaxation for one **full-rebuild** round: like
 /// [`relax_inbox`], but vectors carry whole tables, so zone scoping is the
-/// root oracle's own membership test (`ZoneTable::in_zone`) instead of the
+/// zone table's own membership test (`ZoneTable::in_zone`) instead of the
 /// affected-destination bitmap, and a change marks the receiver's
 /// next-round pending flag rather than a dirty set.
 #[allow(clippy::too_many_arguments)]
@@ -2070,7 +1730,7 @@ fn relax_inbox_full(
                 continue;
             }
             // Zone scoping: `at` only maintains destinations in its own
-            // zone — the identical check the sequential rebuild applies.
+            // zone.
             if !zones.in_zone(at, dest) {
                 continue;
             }
@@ -2100,11 +1760,16 @@ mod tests {
         ZoneTable::build(&topo, &RadioProfile::mica2(), 20.0)
     }
 
+    /// Full rebuild with every node alive.
+    fn rebuild_all(dbf: &mut DbfEngine, zones: &ZoneTable) -> DbfStats {
+        dbf.rebuild_sharded(zones, &vec![true; zones.len()])
+    }
+
     #[test]
     fn line_converges_to_min_hop_chain() {
         let z = zones(5, 1);
         let mut dbf = DbfEngine::new(&z, 2);
-        let stats = dbf.run_to_convergence(&z);
+        let stats = rebuild_all(&mut dbf, &z);
         assert!(stats.messages > 0);
         let t4 = dbf.table(NodeId::new(4));
         let best = t4.best(NodeId::new(0)).unwrap();
@@ -2128,7 +1793,7 @@ mod tests {
         // tables hold a genuine alternative.
         let z = zones(3, 3);
         let mut dbf = DbfEngine::new(&z, 2);
-        dbf.run_to_convergence(&z);
+        rebuild_all(&mut dbf, &z);
         let t0 = dbf.table(NodeId::new(0));
         let routes = t0.routes_to(NodeId::new(8));
         assert_eq!(routes.len(), 2);
@@ -2141,8 +1806,7 @@ mod tests {
         let mut dbf = DbfEngine::new(&z, 2);
         let mut alive = vec![true; 3];
         alive[1] = false;
-        dbf.reset(&z, &alive);
-        dbf.run_to_convergence_masked(&z, &alive);
+        dbf.rebuild_sharded(&z, &alive);
         let t0 = dbf.table(NodeId::new(0));
         // Node 2 is still reachable directly (10 m), never via dead node 1.
         let best = t0.best(NodeId::new(2)).unwrap();
@@ -2155,7 +1819,7 @@ mod tests {
     fn stats_account_messages_and_bytes() {
         let z = zones(4, 4);
         let mut dbf = DbfEngine::new(&z, 2);
-        let stats = dbf.run_to_convergence(&z);
+        let stats = rebuild_all(&mut dbf, &z);
         assert_eq!(stats.per_node_bytes.len(), 16);
         let per_node_sum: u64 = stats.per_node_bytes.iter().sum();
         assert_eq!(per_node_sum, stats.bytes_total);
@@ -2170,79 +1834,24 @@ mod tests {
     fn rerun_after_reset_is_idempotent() {
         let z = zones(4, 1);
         let mut dbf = DbfEngine::new(&z, 2);
-        dbf.run_to_convergence(&z);
+        rebuild_all(&mut dbf, &z);
         let before = dbf.table(NodeId::new(0)).clone();
         dbf.reset(&z, &[true; 4]);
-        dbf.run_to_convergence(&z);
+        rebuild_all(&mut dbf, &z);
         assert_eq!(*dbf.table(NodeId::new(0)), before);
-    }
-
-    #[test]
-    fn receive_from_out_of_zone_sender_is_ignored() {
-        let z = zones(9, 1);
-        let mut dbf = DbfEngine::new(&z, 2);
-        // Node 8 is 40 m from node 0: out of zone.
-        let fake = DbfVector {
-            from: NodeId::new(8),
-            entries: vec![(NodeId::new(1), 0.01, 1)],
-        };
-        assert!(!dbf.receive(NodeId::new(0), &fake, &z));
-    }
-
-    #[test]
-    fn stray_triggered_updates_are_flushed_by_the_next_invalidation() {
-        // A manual receive() perturbs a table (and its dirty set) outside
-        // any invalidation. The next incremental update must flush it —
-        // re-deriving the route from the real topology instead of
-        // panicking on or propagating the stray entry.
-        let z = zones(5, 5);
-        let mut dbf = DbfEngine::new(&z, 2);
-        dbf.run_to_convergence(&z);
-        let fake = DbfVector {
-            from: NodeId::new(1),
-            entries: vec![(NodeId::new(2), 0.0001, 1)],
-        };
-        assert!(dbf.receive(NodeId::new(0), &fake, &z));
-        // Invalidate a far-away node: dest 2 is not adjacent to node 24.
-        let alive = vec![true; z.len()];
-        dbf.invalidate_zone(&z, &[NodeId::new(24)], &alive);
-        let mut reference = DbfEngine::new(&z, 2);
-        reference.run_to_convergence(&z);
-        for i in 0..z.len() {
-            let node = NodeId::new(i as u32);
-            assert_eq!(dbf.table(node), reference.table(node), "node {node}");
-        }
-    }
-
-    #[test]
-    fn receive_tracks_dirty_destinations_for_the_next_delta() {
-        let z = zones(3, 1);
-        let mut dbf = DbfEngine::new(&z, 2);
-        dbf.run_to_convergence(&z);
-        // Converged: nothing to say.
-        assert!(dbf.delta_vector_of(NodeId::new(0)).entries.is_empty());
-        // A (fabricated) cheaper relay route dirties exactly that entry.
-        let v = DbfVector {
-            from: NodeId::new(1),
-            entries: vec![(NodeId::new(2), 0.001, 1)],
-        };
-        assert!(dbf.receive(NodeId::new(0), &v, &z));
-        let delta = dbf.delta_vector_of(NodeId::new(0));
-        assert_eq!(delta.entries.len(), 1);
-        assert_eq!(delta.entries[0].0, NodeId::new(2));
     }
 
     #[test]
     fn no_op_invalidation_quiesces_in_one_silent_round() {
         let z = zones(4, 4);
         let mut dbf = DbfEngine::new(&z, 2);
-        dbf.run_to_convergence(&z);
+        rebuild_all(&mut dbf, &z);
         // "Invalidate" a node that did not actually change: the wipe and
         // reseed re-derive the same tables and the exchange stays local.
         let alive = vec![true; z.len()];
         let stats = dbf.invalidate_zone(&z, &[NodeId::new(5)], &alive);
         let mut reference = DbfEngine::new(&z, 2);
-        reference.run_to_convergence(&z);
+        rebuild_all(&mut reference, &z);
         for i in 0..z.len() {
             let node = NodeId::new(i as u32);
             assert_eq!(dbf.table(node), reference.table(node), "node {node}");
@@ -2255,14 +1864,13 @@ mod tests {
     fn kill_and_revive_match_full_rebuild() {
         let z = zones(5, 5);
         let mut dbf = DbfEngine::new(&z, 2);
-        dbf.run_to_convergence(&z);
+        rebuild_all(&mut dbf, &z);
         let mut alive = vec![true; z.len()];
 
         alive[12] = false; // kill the center
         dbf.invalidate_zone(&z, &[NodeId::new(12)], &alive);
         let mut reference = DbfEngine::new(&z, 2);
-        reference.reset(&z, &alive);
-        reference.run_to_convergence_masked(&z, &alive);
+        reference.rebuild_sharded(&z, &alive);
         for i in 0..z.len() {
             let node = NodeId::new(i as u32);
             assert_eq!(dbf.table(node), reference.table(node), "dead: node {node}");
@@ -2271,8 +1879,7 @@ mod tests {
         alive[12] = true; // and bring it back
         dbf.invalidate_zone(&z, &[NodeId::new(12)], &alive);
         let mut reference = DbfEngine::new(&z, 2);
-        reference.reset(&z, &alive);
-        reference.run_to_convergence_masked(&z, &alive);
+        reference.rebuild_sharded(&z, &alive);
         for i in 0..z.len() {
             let node = NodeId::new(i as u32);
             assert_eq!(dbf.table(node), reference.table(node), "back: node {node}");
@@ -2285,7 +1892,7 @@ mod tests {
         let radio = RadioProfile::mica2();
         let old_zones = ZoneTable::build(&topo, &radio, 20.0);
         let mut dbf = DbfEngine::new(&old_zones, 2);
-        dbf.run_to_convergence(&old_zones);
+        rebuild_all(&mut dbf, &old_zones);
 
         let moved = NodeId::new(7);
         topo.move_node(moved, spms_net::Point::new(19.0, 17.0));
@@ -2301,7 +1908,7 @@ mod tests {
         );
 
         let mut reference = DbfEngine::new(&new_zones, 2);
-        reference.run_to_convergence(&new_zones);
+        rebuild_all(&mut reference, &new_zones);
         for i in 0..new_zones.len() {
             let node = NodeId::new(i as u32);
             assert_eq!(dbf.table(node), reference.table(node), "node {node}");
@@ -2318,7 +1925,7 @@ mod tests {
         let mut grid = spms_net::SpatialGrid::build(&topo, 20.0);
         let mut zones = ZoneTable::build_indexed(&topo, &radio, &grid, 20.0);
         let mut dbf = DbfEngine::new(&zones, 2);
-        dbf.run_to_convergence(&zones);
+        rebuild_all(&mut dbf, &zones);
 
         let moved = NodeId::new(7);
         let mut alive = vec![true; zones.len()];
@@ -2331,8 +1938,7 @@ mod tests {
         assert_eq!(stats.per_node_bytes.iter().sum::<u64>(), stats.bytes_total);
 
         let mut reference = DbfEngine::new(&zones, 2);
-        reference.reset(&zones, &alive);
-        reference.run_to_convergence_masked(&zones, &alive);
+        reference.rebuild_sharded(&zones, &alive);
         for i in 0..zones.len() {
             let node = NodeId::new(i as u32);
             assert_eq!(dbf.table(node), reference.table(node), "node {node}");
@@ -2341,9 +1947,9 @@ mod tests {
 
     #[test]
     fn sharded_delta_matches_sequential_tables_and_stats() {
-        // The same move replayed on a sequential engine and on sharded
-        // engines (1, 2 and 8 partitions) must agree on every table AND on
-        // every stats field — thread count can never change results.
+        // The same move replayed on a default (one-range) engine and on
+        // engines with 1, 2 and 8 partitions must agree on every table AND
+        // on every stats field — thread count can never change results.
         let mut topo = placement::grid(7, 7, 5.0).unwrap();
         let radio = RadioProfile::mica2();
         let old_zones = ZoneTable::build(&topo, &radio, 20.0);
@@ -2353,14 +1959,14 @@ mod tests {
         let alive = vec![true; new_zones.len()];
 
         let mut sequential = DbfEngine::new(&old_zones, 2);
-        sequential.run_to_convergence(&old_zones);
+        rebuild_all(&mut sequential, &old_zones);
         let want = sequential.update_topology(&old_zones, &new_zones, &[moved], &alive);
         assert!(want.messages > 0);
 
         for shards in [1usize, 2, 8] {
             let mut sharded = DbfEngine::new(&old_zones, 2).with_shards(shards);
-            assert_eq!(sharded.shards(), Some(shards));
-            sharded.run_to_convergence(&old_zones);
+            assert_eq!(sharded.shards(), shards);
+            rebuild_all(&mut sharded, &old_zones);
             let got = sharded.update_topology(&old_zones, &new_zones, &[moved], &alive);
             assert_eq!(got, want, "stats diverged at {shards} shards");
             for i in 0..new_zones.len() {
@@ -2378,14 +1984,13 @@ mod tests {
     fn sharded_kill_and_revive_match_full_rebuild() {
         let z = zones(6, 6);
         let mut dbf = DbfEngine::new(&z, 2).with_shards(4);
-        dbf.run_to_convergence(&z);
+        rebuild_all(&mut dbf, &z);
         let mut alive = vec![true; z.len()];
         for flip in [false, true] {
             alive[14] = flip;
             dbf.invalidate_zone(&z, &[NodeId::new(14)], &alive);
             let mut reference = DbfEngine::new(&z, 2);
-            reference.reset(&z, &alive);
-            reference.run_to_convergence_masked(&z, &alive);
+            reference.rebuild_sharded(&z, &alive);
             for i in 0..z.len() {
                 let node = NodeId::new(i as u32);
                 assert_eq!(dbf.table(node), reference.table(node), "up={flip} {node}");
@@ -2402,16 +2007,15 @@ mod tests {
 
     #[test]
     fn sharded_full_rebuild_matches_sequential_tables_and_stats() {
-        // The sharded full rebuild must agree with the root oracle on
-        // every table AND every stats field, dead nodes included, for
-        // shard counts below, at, and above the busy-range count.
+        // The full rebuild must agree with the one-range rebuild on every
+        // table AND every stats field, dead nodes included, for shard
+        // counts below, at, and above the busy-range count.
         let z = zones(6, 6);
         let mut alive = vec![true; z.len()];
         alive[14] = false;
         alive[15] = false;
         let mut sequential = DbfEngine::new(&z, 2);
-        sequential.reset(&z, &alive);
-        let want = sequential.run_to_convergence_masked(&z, &alive);
+        let want = sequential.rebuild_sharded(&z, &alive);
         for shards in [1usize, 2, 8, 64] {
             let mut sharded = DbfEngine::new(&z, 2).with_shards(shards);
             let got = sharded.rebuild_sharded(&z, &alive);
@@ -2452,8 +2056,7 @@ mod tests {
         let alive = vec![true; new_zones.len()];
 
         let mut sequential = DbfEngine::new(&old_zones, 2);
-        sequential.reset(&old_zones, &alive);
-        let full_want = sequential.run_to_convergence_masked(&old_zones, &alive);
+        let full_want = sequential.rebuild_sharded(&old_zones, &alive);
         let delta_want = sequential.update_topology(&old_zones, &new_zones, &movers, &alive);
         assert!(
             delta_want.entries_sent > 1024,
@@ -2485,14 +2088,18 @@ mod tests {
 
     #[test]
     fn rebuild_sharded_without_shards_is_the_sequential_rebuild() {
-        // An unsharded engine dispatches to the root oracle loop itself.
-        let z = zones(4, 4);
+        // A default engine is one range: even a paper-scale rebuild runs
+        // inline on the calling thread, and lands on the many-range
+        // engine's tables and stats.
+        let z = zones(13, 13);
         let alive = vec![true; z.len()];
         let mut a = DbfEngine::new(&z, 2);
+        assert_eq!(a.shards(), 1);
         let got = a.rebuild_sharded(&z, &alive);
-        let mut b = DbfEngine::new(&z, 2);
-        b.reset(&z, &alive);
-        let want = b.run_to_convergence_masked(&z, &alive);
+        assert!(!a.pool_started(), "one range must never start the pool");
+        let mut b = DbfEngine::new(&z, 2).with_shards(4);
+        let want = b.rebuild_sharded(&z, &alive);
+        assert!(b.pool_started());
         assert_eq!(got, want);
         for i in 0..z.len() {
             let node = NodeId::new(i as u32);
@@ -2502,27 +2109,27 @@ mod tests {
 
     #[test]
     fn rebuild_sharded_resets_stale_state_first() {
-        // Rebuilding over a perturbed engine (stray receive + stale
-        // liveness) starts from scratch: the result only depends on the
-        // inputs, exactly like reset + run_to_convergence_masked.
-        let z = zones(5, 5);
+        // Rebuilding over a perturbed engine (a move and a failure it has
+        // re-converged on) starts from scratch: the result only depends
+        // on the inputs.
+        let mut topo = placement::grid(5, 5, 5.0).unwrap();
+        let radio = RadioProfile::mica2();
+        let z = ZoneTable::build(&topo, &radio, 20.0);
         let mut dbf = DbfEngine::new(&z, 2).with_shards(4);
-        dbf.run_to_convergence(&z);
-        let fake = DbfVector {
-            from: NodeId::new(1),
-            entries: vec![(NodeId::new(2), 0.0001, 1)],
-        };
-        assert!(dbf.receive(NodeId::new(0), &fake, &z));
-        let alive = vec![true; z.len()];
-        dbf.rebuild_sharded(&z, &alive);
+        rebuild_all(&mut dbf, &z);
+        topo.move_node(NodeId::new(7), spms_net::Point::new(19.0, 17.0));
+        let moved = ZoneTable::build(&topo, &radio, 20.0);
+        let mut alive = vec![true; z.len()];
+        alive[12] = false;
+        dbf.update_topology(&z, &moved, &[NodeId::new(7), NodeId::new(12)], &alive);
+        let got = rebuild_all(&mut dbf, &z);
         let mut reference = DbfEngine::new(&z, 2);
-        reference.run_to_convergence(&z);
+        let want = rebuild_all(&mut reference, &z);
+        assert_eq!(got, want);
         for i in 0..z.len() {
             let node = NodeId::new(i as u32);
             assert_eq!(dbf.table(node), reference.table(node), "node {node}");
         }
-        // And the engine is cleanly converged: nothing left to say.
-        assert!(dbf.delta_vector_of(NodeId::new(0)).entries.is_empty());
     }
 
     #[test]
@@ -2531,7 +2138,7 @@ mod tests {
         let radio = RadioProfile::mica2();
         let old_zones = ZoneTable::build(&topo, &radio, 20.0);
         let mut dbf = DbfEngine::new(&old_zones, 2);
-        dbf.run_to_convergence(&old_zones);
+        rebuild_all(&mut dbf, &old_zones);
 
         let moved = NodeId::new(3);
         topo.move_node(moved, spms_net::Point::new(30.0, 30.0));
@@ -2540,8 +2147,7 @@ mod tests {
         let delta = dbf.update_topology(&old_zones, &new_zones, &[moved], &alive);
 
         let mut full = DbfEngine::new(&new_zones, 2);
-        full.reset(&new_zones, &alive);
-        let full_stats = full.run_to_convergence_masked(&new_zones, &alive);
+        let full_stats = full.rebuild_sharded(&new_zones, &alive);
         assert!(
             delta.entries_sent < full_stats.entries_sent / 2,
             "delta {} vs full {}",
@@ -2640,8 +2246,7 @@ mod tests {
         let alive = vec![true; new_zones.len()];
 
         let mut sequential = DbfEngine::new(&old_zones, 2);
-        sequential.reset(&old_zones, &alive);
-        let full_want = sequential.run_to_convergence_masked(&old_zones, &alive);
+        let full_want = sequential.rebuild_sharded(&old_zones, &alive);
         let delta_want = sequential.update_topology(&old_zones, &new_zones, &[moved], &alive);
 
         let mut sharded = DbfEngine::new(&old_zones, 2).with_shards(8);
@@ -2678,8 +2283,7 @@ mod tests {
         let alive = vec![true; zones_a.len()];
 
         let mut sequential = DbfEngine::new(&zones_a, 2);
-        sequential.reset(&zones_a, &alive);
-        sequential.run_to_convergence_masked(&zones_a, &alive);
+        sequential.rebuild_sharded(&zones_a, &alive);
 
         let mut sharded = DbfEngine::new(&zones_a, 2).with_shards(4);
         sharded.rebuild_sharded(&zones_a, &alive);

@@ -12,13 +12,14 @@
 //! * [`RoutingTable`] / [`RouteEntry`] — per-destination lists of up to `k`
 //!   next-hop alternatives ordered by cost (the paper's implementation keeps
 //!   the shortest and second-shortest path, `k = 2`), stored in a dense
-//!   arena (sorted destination vector + flat `k`-slot blocks) rather than a
-//!   per-entry map,
+//!   arena (sorted destination vector + `k`-slot cost/next-hop/hops
+//!   planes) rather than a per-entry map,
 //! * [`DbfEngine`] — the distance-vector exchange itself, run in synchronous
 //!   rounds until quiescence, with message/byte accounting so the simulation
 //!   can charge the routing-table-formation energy the paper includes in its
-//!   mobility results (Figure 12). Besides the full rebuild it supports
-//!   *incremental delta re-convergence* ([`DbfEngine::update_topology`] /
+//!   mobility results (Figure 12). Besides the full rebuild
+//!   ([`DbfEngine::rebuild_sharded`]) it supports *incremental delta
+//!   re-convergence* ([`DbfEngine::update_topology`] /
 //!   [`DbfEngine::invalidate_zone`]): a topology event invalidates only the
 //!   destinations it can reach and the exchange propagates only the changed
 //!   entries, reaching the exact same fixpoint as a from-scratch rebuild at
@@ -41,7 +42,7 @@
 //! let topo = placement::grid(5, 1, 5.0).unwrap();
 //! let zones = ZoneTable::build(&topo, &RadioProfile::mica2(), 20.0);
 //! let mut dbf = DbfEngine::new(&zones, 2);
-//! let stats = dbf.run_to_convergence(&zones);
+//! let stats = dbf.rebuild_sharded(&zones, &[true; 5]);
 //! assert!(stats.rounds >= 2);
 //! // Node 4 reaches node 0 through its 5 m neighbor, node 3.
 //! let best = dbf.table(NodeId::new(4)).best(NodeId::new(0)).unwrap();
@@ -61,8 +62,8 @@ mod pool;
 mod table;
 mod wire;
 
-pub use dbf::{DbfEngine, DbfStats, DbfVector};
+pub use dbf::{DbfEngine, DbfStats};
 pub use oracle::{oracle_tables, oracle_tables_masked};
 pub use pool::WorkerPool;
-pub use table::{RouteEntry, Routes, RoutesIter, RoutingTable, TableLayout};
+pub use table::{RouteEntry, Routes, RoutesIter, RoutingTable};
 pub use wire::DbfWireFormat;

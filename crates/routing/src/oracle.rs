@@ -14,9 +14,9 @@ use crate::{RouteEntry, RoutingTable};
 /// Builds the routing table of every node directly from the shortest-path
 /// oracle, keeping `k` alternatives per destination.
 ///
-/// The result is exactly what [`crate::DbfEngine::run_to_convergence`]
-/// produces (verified by property tests), at `O(n · zone·log zone)` cost
-/// without simulating message rounds.
+/// The result is what [`crate::DbfEngine::rebuild_sharded`] converges to
+/// (verified by property tests, costs within floating-point tolerance), at
+/// `O(n · zone·log zone)` cost without simulating message rounds.
 ///
 /// # Panics
 ///
@@ -114,7 +114,7 @@ mod tests {
     fn assert_tables_agree(zones: &ZoneTable, k: usize) {
         let oracle = oracle_tables(zones, k);
         let mut dbf = DbfEngine::new(zones, k);
-        dbf.run_to_convergence(zones);
+        dbf.rebuild_sharded(zones, &vec![true; zones.len()]);
         for (i, a) in oracle.iter().enumerate() {
             let node = NodeId::new(i as u32);
             let b = dbf.table(node);
@@ -168,8 +168,7 @@ mod tests {
         alive[3] = false;
         let oracle = oracle_tables_masked(&z, 2, &alive);
         let mut dbf = DbfEngine::new(&z, 2);
-        dbf.reset(&z, &alive);
-        dbf.run_to_convergence_masked(&z, &alive);
+        dbf.rebuild_sharded(&z, &alive);
         for (i, want) in oracle.iter().enumerate() {
             let node = NodeId::new(i as u32);
             let got = dbf.table(node);

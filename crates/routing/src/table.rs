@@ -1,28 +1,23 @@
 //! Per-node routing tables with k next-hop alternatives per destination.
 //!
 //! Storage is a dense arena rather than a per-entry map: a sorted vector of
-//! destinations plus a flat arena with exactly `k` route slots per
-//! destination. Zone sizes are small (the paper works with 5–50 nodes per
-//! zone), so binary search over the destination vector beats pointer-chasing
-//! a tree, and the arena is reused across rebuilds without reallocating
-//! (`clear` keeps capacity).
+//! destinations plus exactly `k` route slots per destination, reused across
+//! rebuilds without reallocating (`clear` keeps capacity). The slots live
+//! in three parallel planes — a contiguous `f64` cost plane, a `NodeId`
+//! next-hop plane and a `u32` hop-count plane — so the relaxation scan in
+//! [`RoutingTable::offer`] walks a flat numeric strip with no struct-stride
+//! gathers, and `remove_dests` compacts all planes in lockstep with three
+//! `copy_within` calls per surviving row. A direct-map destination index
+//! resolves a known destination in one load instead of a binary search.
 //!
-//! The arena itself comes in two layouts selected by [`TableLayout`]:
-//!
-//! - **SoA** (the default): three parallel planes — a contiguous `f64` cost
-//!   plane, a `NodeId` next-hop plane, and a `u32` hop-count plane — so the
-//!   relaxation scan in [`RoutingTable::offer`] walks a flat numeric strip
-//!   with no struct-stride gathers, and `remove_dests` compacts all planes
-//!   in lockstep with three `copy_within` calls per surviving row.
-//! - **AoS**: the original flat `[RouteEntry]` block layout, kept intact as
-//!   the differential oracle. The layout proptests replay identical
-//!   offer/remove/churn sequences against both arenas and assert
-//!   bit-identical tables (same playbook as the DBF oracle chain).
-//!
-//! Because entries no longer sit contiguously in one buffer, the read API
+//! Because entries do not sit contiguously in one buffer, the read API
 //! hands out routes **by value** (`RouteEntry` is `Copy`): [`RoutingTable::best`]
 //! returns `Option<RouteEntry>` and [`RoutingTable::routes_to`] returns a
 //! [`Routes`] view instead of a slice.
+//!
+//! `crates/routing/tests/layout.rs` keeps the original flat
+//! `[RouteEntry]`-block table as a reference model and replays random
+//! operation sequences against both, asserting identical tables.
 
 use spms_net::NodeId;
 
@@ -38,7 +33,7 @@ pub struct RouteEntry {
     pub hops: u32,
 }
 
-/// Unoccupied arena slot. Never observable through the public API: only the
+/// Unoccupied slot. Never observable through the public API: only the
 /// first `lens[i]` slots of a destination's `k`-slot block are live.
 const VACANT: RouteEntry = RouteEntry {
     via: NodeId::new(u32::MAX),
@@ -52,302 +47,33 @@ const VACANT: RouteEntry = RouteEntry {
 /// Dijkstra oracle, so the two constructions agree exactly.
 const COST_EPS: f64 = 1e-12;
 
-/// Strict route order: cost (with the epsilon tie window), then hops, then
+/// Strict route order: `true` when the entry `(cost, hops, via)` orders
+/// before `entry` — cost (with the epsilon tie window), then hops, then
 /// neighbor id. Total on distinct-via entries.
-fn route_cmp(a: &RouteEntry, b: &RouteEntry) -> std::cmp::Ordering {
-    if (a.cost - b.cost).abs() <= COST_EPS {
-        a.hops.cmp(&b.hops).then_with(|| a.via.cmp(&b.via))
-    } else {
-        a.cost
-            .partial_cmp(&b.cost)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    }
-}
-
-/// `true` when two entries are indistinguishable under the epsilon rule —
-/// an offer replacing an entry with an indistinguishable one is not a
-/// change (and must not trigger another broadcast round).
-fn route_eq(a: &RouteEntry, b: &RouteEntry) -> bool {
-    a.via == b.via && a.hops == b.hops && (a.cost - b.cost).abs() <= COST_EPS
-}
-
-/// Scalar twin of `route_cmp(..) == Ordering::Less` for the plane kernel:
-/// `true` when the entry `(cost, hops, via)` orders strictly before
-/// `entry`. Must stay semantically identical to `route_cmp` — the layout
-/// differential suite holds the two arenas bit-identical.
 #[inline(always)]
 fn plane_less(cost: f64, hops: u32, via: NodeId, entry: &RouteEntry) -> bool {
     let d = cost - entry.cost;
     if d.abs() <= COST_EPS {
         hops < entry.hops || (hops == entry.hops && via < entry.via)
     } else {
-        // NaN costs fall here with both comparisons false — the same
-        // "unordered means equal" behavior as route_cmp's partial_cmp.
+        // NaN costs fall here with both comparisons false: unordered
+        // entries compare as equal.
         d < 0.0
     }
 }
 
-/// Physical arena layout of a [`RoutingTable`], selected per table (and, at
-/// the simulation level, by `SimConfig::table_layout`).
+/// The k-slot block merge behind `offer` and `offer_ascending`: `via`,
+/// `cost` and `hops` are the destination's full `k`-slot block, `len` its
+/// live prefix. Returns `(changed, new_len)`.
 ///
-/// The layouts are observationally identical — the layout-differential
-/// proptest suite replays identical operation sequences against both and
-/// asserts bit-identical tables — so this is purely a performance knob.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum TableLayout {
-    /// Struct-of-arrays planes (cost / next-hop / hops): the branch-light
-    /// relaxation kernel. The default.
-    #[default]
-    Soa,
-    /// Array-of-structs flat `RouteEntry` blocks: the original layout,
-    /// retained as the differential oracle.
-    Aos,
-}
-
-impl TableLayout {
-    /// Stable lowercase label (CLI flag values, bench ids, logs).
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            TableLayout::Soa => "soa",
-            TableLayout::Aos => "aos",
-        }
-    }
-}
-
-impl std::fmt::Display for TableLayout {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-impl std::str::FromStr for TableLayout {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "soa" => Ok(TableLayout::Soa),
-            "aos" => Ok(TableLayout::Aos),
-            other => Err(format!("unknown table layout `{other}` (soa|aos)")),
-        }
-    }
-}
-
-/// The slot storage behind a [`RoutingTable`]: `k` slots per destination,
-/// best-first, in one of the two [`TableLayout`]s.
-#[derive(Clone)]
-enum Arena {
-    /// Flat `RouteEntry` blocks.
-    Aos { slots: Vec<RouteEntry> },
-    /// Parallel planes, index-aligned with each other, plus a direct-map
-    /// destination index.
-    Soa {
-        via: Vec<NodeId>,
-        cost: Vec<f64>,
-        hops: Vec<u32>,
-        /// Destination index plane: `slot_of[dest.index()]` is the
-        /// destination's arena position **plus one** (`0` = absent), so the
-        /// hot relaxation path replaces the per-offer binary search with a
-        /// single load. Destinations are node ids, so this plane is
-        /// `O(max id)` words per table — `O(n)` at the simulator's scales,
-        /// where every table already holds `O(zone)` route slots.
-        slot_of: Vec<u32>,
-    },
-}
-
-impl Arena {
-    fn empty(layout: TableLayout) -> Self {
-        match layout {
-            TableLayout::Aos => Arena::Aos { slots: Vec::new() },
-            TableLayout::Soa => Arena::Soa {
-                via: Vec::new(),
-                cost: Vec::new(),
-                hops: Vec::new(),
-                slot_of: Vec::new(),
-            },
-        }
-    }
-
-    fn layout(&self) -> TableLayout {
-        match self {
-            Arena::Aos { .. } => TableLayout::Aos,
-            Arena::Soa { .. } => TableLayout::Soa,
-        }
-    }
-
-    /// The entry at flat slot index `idx` (live or vacant), by value.
-    #[inline]
-    fn entry(&self, idx: usize) -> RouteEntry {
-        match self {
-            Arena::Aos { slots } => slots[idx],
-            Arena::Soa {
-                via, cost, hops, ..
-            } => RouteEntry {
-                via: via[idx],
-                cost: cost[idx],
-                hops: hops[idx],
-            },
-        }
-    }
-
-    #[inline]
-    fn write(&mut self, idx: usize, e: RouteEntry) {
-        match self {
-            Arena::Aos { slots } => slots[idx] = e,
-            Arena::Soa {
-                via, cost, hops, ..
-            } => {
-                via[idx] = e.via;
-                cost[idx] = e.cost;
-                hops[idx] = e.hops;
-            }
-        }
-    }
-
-    /// Splices `k` vacant slots in at flat index `base` (new destination).
-    fn splice_vacant(&mut self, base: usize, k: usize) {
-        match self {
-            Arena::Aos { slots } => {
-                slots.splice(base..base, std::iter::repeat_n(VACANT, k));
-            }
-            Arena::Soa {
-                via, cost, hops, ..
-            } => {
-                via.splice(base..base, std::iter::repeat_n(VACANT.via, k));
-                cost.splice(base..base, std::iter::repeat_n(VACANT.cost, k));
-                hops.splice(base..base, std::iter::repeat_n(VACANT.hops, k));
-            }
-        }
-    }
-
-    /// Copies the `k`-slot block at `src` over the block at `dst`
-    /// (lockstep across planes in the SoA layout).
-    fn copy_block(&mut self, src: usize, dst: usize, k: usize) {
-        match self {
-            Arena::Aos { slots } => slots.copy_within(src..src + k, dst),
-            Arena::Soa {
-                via, cost, hops, ..
-            } => {
-                via.copy_within(src..src + k, dst);
-                cost.copy_within(src..src + k, dst);
-                hops.copy_within(src..src + k, dst);
-            }
-        }
-    }
-
-    /// Removes the `k`-slot block at `base`, shifting later blocks down.
-    fn drain_block(&mut self, base: usize, k: usize) {
-        match self {
-            Arena::Aos { slots } => {
-                slots.drain(base..base + k);
-            }
-            Arena::Soa {
-                via, cost, hops, ..
-            } => {
-                via.drain(base..base + k);
-                cost.drain(base..base + k);
-                hops.drain(base..base + k);
-            }
-        }
-    }
-
-    fn truncate(&mut self, n: usize) {
-        match self {
-            Arena::Aos { slots } => slots.truncate(n),
-            Arena::Soa {
-                via, cost, hops, ..
-            } => {
-                via.truncate(n);
-                cost.truncate(n);
-                hops.truncate(n);
-            }
-        }
-    }
-
-    /// Clears all slots, keeping capacity (rebuilds do not reallocate).
-    fn clear(&mut self) {
-        match self {
-            Arena::Aos { slots } => slots.clear(),
-            Arena::Soa {
-                via,
-                cost,
-                hops,
-                slot_of,
-            } => {
-                via.clear();
-                cost.clear();
-                hops.clear();
-                // An empty index plane means "every destination absent";
-                // inserts re-grow it (zero-filled) on demand, so clearing
-                // beats an O(max id) memset per rebuild.
-                slot_of.clear();
-            }
-        }
-    }
-}
-
-/// The k-slot block merge shared by `offer` and `offer_ascending`, AoS
-/// layout. `block` is the destination's full `k`-slot block, `len` its live
-/// prefix. Returns `(changed, new_len)`.
-///
-/// This is the **oracle kernel** — byte-for-byte the pre-SoA behavior. Note
-/// the asymmetric rank computation: the replace arm counts lesser entries
-/// over the whole live prefix (excluding the replaced slot) while the
-/// insert arm stops at the first non-lesser entry. Under the non-transitive
-/// epsilon comparator those can differ for costs spaced ~`COST_EPS` apart,
-/// so [`offer_block_soa`] replicates each arm exactly rather than sharing
-/// one rank routine.
-fn offer_block_aos(block: &mut [RouteEntry], len: usize, entry: RouteEntry) -> (bool, usize) {
-    let k = block.len();
-    let existing = block[..len].iter().position(|e| e.via == entry.via);
-
-    match existing {
-        Some(i) => {
-            // Insertion index of `entry` among the other len-1 entries.
-            let j = block[..len]
-                .iter()
-                .enumerate()
-                .filter(|&(u, _)| u != i)
-                .filter(|&(_, e)| route_cmp(e, &entry) == std::cmp::Ordering::Less)
-                .count();
-            if j == i && route_eq(&block[i], &entry) {
-                return (false, len);
-            }
-            if j <= i {
-                block[j..=i].rotate_right(1);
-            } else {
-                block[i..=j].rotate_left(1);
-            }
-            block[j] = entry;
-            (true, len)
-        }
-        None => {
-            let j = block[..len]
-                .iter()
-                .take_while(|e| route_cmp(e, &entry) == std::cmp::Ordering::Less)
-                .count();
-            if len < k {
-                block[j..=len].rotate_right(1);
-                block[j] = entry;
-                (true, len + 1)
-            } else if j == k {
-                (false, len) // worse than every retained alternative
-            } else {
-                block[j..k].rotate_right(1);
-                block[j] = entry;
-                (true, len)
-            }
-        }
-    }
-}
-
-/// The SoA twin of [`offer_block_aos`]: the same branch structure executed
-/// against the parallel planes as tight scalar loops. The existing-via scan
-/// reads only the `u32` next-hop plane; the rank pass compares against the
-/// contiguous `f64` cost strip. Each arm mirrors its AoS counterpart's
-/// exact rank semantics (full count vs first-non-less early exit) so the
-/// two layouts stay bit-identical.
-fn offer_block_soa(
+/// The existing-via scan reads only the `u32` next-hop plane; the rank
+/// pass compares against the contiguous `f64` cost strip. Note the
+/// asymmetric rank computation: the replace arm counts lesser entries over
+/// the whole live prefix (excluding the replaced slot) while the insert
+/// arm stops at the first non-lesser entry. Under the non-transitive
+/// epsilon comparator those can differ for costs spaced ~`COST_EPS` apart;
+/// the reference model in `tests/layout.rs` pins both arms.
+fn offer_block(
     via: &mut [NodeId],
     cost: &mut [f64],
     hops: &mut [u32],
@@ -414,12 +140,12 @@ fn offer_block_soa(
     }
 }
 
-/// [`offer_block_soa`] unrolled for `k == 2`, the paper's configuration.
+/// [`offer_block`] unrolled for `k == 2`, the paper's configuration.
 /// Every arm is a hand-expansion of the generic code at `len ∈ {0, 1, 2}`
 /// — same existing-via scan, same asymmetric rank rules, same rotations —
-/// which the layout differential suite pins against the AoS oracle.
+/// which the lockstep suite pins against the reference model.
 #[inline(always)]
-fn offer_block_soa2(
+fn offer_block2(
     via: &mut [NodeId],
     cost: &mut [f64],
     hops: &mut [u32],
@@ -526,20 +252,14 @@ fn offer_block_soa2(
 ///
 /// ```
 /// use spms_net::NodeId;
-/// use spms_routing::{RouteEntry, RoutingTable, TableLayout};
+/// use spms_routing::{RouteEntry, RoutingTable};
 ///
-/// let mut t = RoutingTable::new(2); // SoA planes by default
+/// let mut t = RoutingTable::new(2);
 /// let d = NodeId::new(9);
 /// t.offer(d, RouteEntry { via: NodeId::new(1), cost: 0.5, hops: 2 });
 /// t.offer(d, RouteEntry { via: NodeId::new(2), cost: 0.2, hops: 3 });
 /// assert_eq!(t.best(d).unwrap().via, NodeId::new(2));
 /// assert_eq!(t.alternative(d, 1).unwrap().via, NodeId::new(1));
-///
-/// // The AoS oracle builds the identical table from the same offers.
-/// let mut oracle = RoutingTable::with_layout(2, TableLayout::Aos);
-/// oracle.offer(d, RouteEntry { via: NodeId::new(1), cost: 0.5, hops: 2 });
-/// oracle.offer(d, RouteEntry { via: NodeId::new(2), cost: 0.2, hops: 3 });
-/// assert_eq!(t, oracle);
 /// ```
 #[derive(Clone)]
 pub struct RoutingTable {
@@ -547,35 +267,40 @@ pub struct RoutingTable {
     dests: Vec<NodeId>,
     /// Live routes per destination (`lens[i] <= k`).
     lens: Vec<u32>,
-    /// The slot storage: `k` slots per destination, best-first.
-    arena: Arena,
+    /// Next-hop plane: `k` slots per destination, best-first, index-aligned
+    /// with `cost` and `hops`.
+    via: Vec<NodeId>,
+    /// Cost plane.
+    cost: Vec<f64>,
+    /// Hop-count plane.
+    hops: Vec<u32>,
+    /// Destination index plane: `slot_of[dest.index()]` is the
+    /// destination's position in `dests` **plus one** (`0` = absent), so
+    /// the hot relaxation path replaces the per-offer binary search with a
+    /// single load. Destinations are node ids, so this plane is `O(max id)`
+    /// words per table — `O(n)` at the simulator's scales, where every
+    /// table already holds `O(zone)` route slots.
+    slot_of: Vec<u32>,
     k: usize,
 }
 
 impl RoutingTable {
     /// Creates an empty table keeping at most `k` alternatives per
-    /// destination, in the default (SoA) layout.
+    /// destination.
     ///
     /// # Panics
     ///
     /// Panics if `k == 0`.
     #[must_use]
     pub fn new(k: usize) -> Self {
-        Self::with_layout(k, TableLayout::default())
-    }
-
-    /// Creates an empty table in an explicit arena layout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    #[must_use]
-    pub fn with_layout(k: usize, layout: TableLayout) -> Self {
         assert!(k > 0, "k must be at least 1");
         RoutingTable {
             dests: Vec::new(),
             lens: Vec::new(),
-            arena: Arena::empty(layout),
+            via: Vec::new(),
+            cost: Vec::new(),
+            hops: Vec::new(),
+            slot_of: Vec::new(),
             k,
         }
     }
@@ -586,60 +311,31 @@ impl RoutingTable {
         self.k
     }
 
-    /// The arena layout this table currently stores routes in.
-    #[must_use]
-    pub fn layout(&self) -> TableLayout {
-        self.arena.layout()
-    }
-
-    /// Re-stores the table's contents in `layout` (no-op when already
-    /// there). Logical content is preserved exactly; only the physical
-    /// arena changes.
-    pub fn convert_layout(&mut self, layout: TableLayout) {
-        if self.arena.layout() == layout {
-            return;
-        }
-        let total = self.dests.len() * self.k;
-        let mut next = Arena::empty(layout);
-        match &mut next {
-            Arena::Aos { slots } => slots.reserve(total),
-            Arena::Soa {
-                via, cost, hops, ..
-            } => {
-                via.reserve(total);
-                cost.reserve(total);
-                hops.reserve(total);
-            }
-        }
-        for idx in 0..total {
-            let e = self.arena.entry(idx);
-            match &mut next {
-                Arena::Aos { slots } => slots.push(e),
-                Arena::Soa {
-                    via, cost, hops, ..
-                } => {
-                    via.push(e.via);
-                    cost.push(e.cost);
-                    hops.push(e.hops);
-                }
-            }
-        }
-        self.arena = next;
-        self.rebuild_slot_index();
-    }
-
-    /// Index of `dest` in the arena, if present. The SoA arena answers from
-    /// its destination index plane in one load; the AoS oracle keeps the
-    /// original binary search.
+    /// Index of `dest` in the arena, if present: one load from the
+    /// destination index plane.
     #[inline]
     fn pos(&self, dest: NodeId) -> Option<usize> {
-        match &self.arena {
-            Arena::Soa { slot_of, .. } => match slot_of.get(dest.index()) {
-                Some(&s) if s != 0 => Some((s - 1) as usize),
-                _ => None,
-            },
-            Arena::Aos { .. } => self.dests.binary_search(&dest).ok(),
+        match self.slot_of.get(dest.index()) {
+            Some(&s) if s != 0 => Some((s - 1) as usize),
+            _ => None,
         }
+    }
+
+    /// The entry at flat slot index `idx` (live or vacant), by value.
+    #[inline]
+    fn entry(&self, idx: usize) -> RouteEntry {
+        RouteEntry {
+            via: self.via[idx],
+            cost: self.cost[idx],
+            hops: self.hops[idx],
+        }
+    }
+
+    #[inline]
+    fn write(&mut self, idx: usize, e: RouteEntry) {
+        self.via[idx] = e.via;
+        self.cost[idx] = e.cost;
+        self.hops[idx] = e.hops;
     }
 
     /// Offers a route to `dest`; returns `true` if the table changed (the
@@ -653,15 +349,11 @@ impl RoutingTable {
     /// never quiesce.
     #[inline]
     pub fn offer(&mut self, dest: NodeId, entry: RouteEntry) -> bool {
-        // Hot path: the SoA index plane resolves a known destination in one
-        // load. Misses (and the AoS oracle) fall through to the binary
-        // search, which doubles as the insertion point.
-        if let Arena::Soa { slot_of, .. } = &self.arena {
-            if let Some(&s) = slot_of.get(dest.index()) {
-                if s != 0 {
-                    return self.offer_at((s - 1) as usize, entry);
-                }
-            }
+        // Hot path: the index plane resolves a known destination in one
+        // load. Misses fall through to the binary search, which doubles as
+        // the insertion point.
+        if let Some(pos) = self.pos(dest) {
+            return self.offer_at(pos, entry);
         }
         let pos = match self.dests.binary_search(&dest) {
             Ok(p) => p,
@@ -673,18 +365,17 @@ impl RoutingTable {
         self.offer_at(pos, entry)
     }
 
-    /// [`RoutingTable::offer`] with the destination binary search hoisted
-    /// out of the k-slot scan and bounded below by an ascending cursor.
+    /// [`RoutingTable::offer`] with the insertion-point binary search
+    /// bounded below by an ascending cursor.
     ///
     /// Distance-vector replay offers a vector's entries in destination-id
     /// order (tables iterate in id order and delta vectors come from
     /// ordered sets), so a receiver applying one vector can carry a cursor:
-    /// each lookup searches only the destinations **past the previous
-    /// hit** instead of the whole array — the dominant per-entry cost of
-    /// the DBF inner loop shrinks with every entry applied. Reset the
-    /// cursor to `0` at the start of every vector. The table mutation is
-    /// exactly `offer`'s (shared block merge), so results are identical
-    /// entry for entry.
+    /// a new destination's insertion point is searched only **past the
+    /// previous hit** instead of over the whole array. Reset the cursor to
+    /// `0` at the start of every vector. The table mutation is exactly
+    /// `offer`'s (shared block merge), so results are identical entry for
+    /// entry.
     ///
     /// Destinations offered through one cursor must arrive in strictly
     /// ascending id order (debug-asserted).
@@ -695,17 +386,12 @@ impl RoutingTable {
             lb == 0 || self.dests[lb - 1] < dest,
             "offer_ascending needs strictly ascending destinations per cursor"
         );
-        // Known destinations resolve through the SoA index plane exactly as
-        // in `offer`; the cursor still advances so later misses search only
+        // Known destinations resolve through the index plane exactly as in
+        // `offer`; the cursor still advances so later misses search only
         // past this hit.
-        if let Arena::Soa { slot_of, .. } = &self.arena {
-            if let Some(&s) = slot_of.get(dest.index()) {
-                if s != 0 {
-                    let pos = (s - 1) as usize;
-                    *cursor = pos + 1;
-                    return self.offer_at(pos, entry);
-                }
-            }
+        if let Some(pos) = self.pos(dest) {
+            *cursor = pos + 1;
+            return self.offer_at(pos, entry);
         }
         let pos = match self.dests[lb..].binary_search(&dest) {
             Ok(p) => lb + p,
@@ -724,52 +410,43 @@ impl RoutingTable {
         let k = self.k;
         self.dests.insert(p, dest);
         self.lens.insert(p, 0);
-        self.arena.splice_vacant(p * k, k);
-        if let Arena::Soa { slot_of, .. } = &mut self.arena {
-            let i = dest.index();
-            if slot_of.len() <= i {
-                slot_of.resize(i + 1, 0);
-            }
-            slot_of[i] = (p + 1) as u32;
-            // Everything after the insertion point shifted up one row —
-            // same O(tail) the `Vec::insert`s above already pay.
-            for d in &self.dests[p + 1..] {
-                slot_of[d.index()] += 1;
-            }
+        let base = p * k;
+        self.via
+            .splice(base..base, std::iter::repeat_n(VACANT.via, k));
+        self.cost
+            .splice(base..base, std::iter::repeat_n(VACANT.cost, k));
+        self.hops
+            .splice(base..base, std::iter::repeat_n(VACANT.hops, k));
+        let i = dest.index();
+        if self.slot_of.len() <= i {
+            self.slot_of.resize(i + 1, 0);
+        }
+        self.slot_of[i] = (p + 1) as u32;
+        // Everything after the insertion point shifted up one row — same
+        // O(tail) the `Vec::insert`s above already pay.
+        for d in &self.dests[p + 1..] {
+            self.slot_of[d.index()] += 1;
         }
     }
 
     /// The k-slot block merge shared by [`RoutingTable::offer`] and
-    /// [`RoutingTable::offer_ascending`]: dispatches once on the arena
-    /// layout, then runs the layout's kernel on the block at `pos`.
+    /// [`RoutingTable::offer_ascending`] on the block at `pos`.
     #[inline]
     fn offer_at(&mut self, pos: usize, entry: RouteEntry) -> bool {
         let k = self.k;
         let base = pos * k;
         let len = self.lens[pos] as usize;
-        let (changed, new_len) = match &mut self.arena {
-            Arena::Aos { slots } => offer_block_aos(&mut slots[base..base + k], len, entry),
-            // The k dispatch happens here, outside the generic kernel, so
-            // the hot k = 2 case inlines without dragging the generic body
-            // along.
-            Arena::Soa {
-                via, cost, hops, ..
-            } if k == 2 => offer_block_soa2(
-                &mut via[base..base + 2],
-                &mut cost[base..base + 2],
-                &mut hops[base..base + 2],
-                len,
-                entry,
-            ),
-            Arena::Soa {
-                via, cost, hops, ..
-            } => offer_block_soa(
-                &mut via[base..base + k],
-                &mut cost[base..base + k],
-                &mut hops[base..base + k],
-                len,
-                entry,
-            ),
+        let (via, cost, hops) = (
+            &mut self.via[base..base + k],
+            &mut self.cost[base..base + k],
+            &mut self.hops[base..base + k],
+        );
+        // The k dispatch happens here, outside the generic kernel, so the
+        // hot k = 2 case inlines without dragging the generic body along.
+        let (changed, new_len) = if k == 2 {
+            offer_block2(via, cost, hops, len, entry)
+        } else {
+            offer_block(via, cost, hops, len, entry)
         };
         self.lens[pos] = new_len as u32;
         changed
@@ -779,14 +456,14 @@ impl RoutingTable {
     #[must_use]
     pub fn best(&self, dest: NodeId) -> Option<RouteEntry> {
         let p = self.pos(dest)?;
-        (self.lens[p] > 0).then(|| self.arena.entry(p * self.k))
+        (self.lens[p] > 0).then(|| self.entry(p * self.k))
     }
 
     /// The `i`-th best route to `dest` (0 = best).
     #[must_use]
     pub fn alternative(&self, dest: NodeId, i: usize) -> Option<RouteEntry> {
         let p = self.pos(dest)?;
-        (i < self.lens[p] as usize).then(|| self.arena.entry(p * self.k + i))
+        (i < self.lens[p] as usize).then(|| self.entry(p * self.k + i))
     }
 
     /// All alternatives to `dest`, best first, as a by-value view.
@@ -835,23 +512,16 @@ impl RoutingTable {
 
     /// Appends `(dest, best_cost, best_hops)` for every destination to
     /// `out` — the whole-table flattening the DBF snapshot loops use to
-    /// build full distance vectors. In the SoA layout this walks the cost
-    /// and hops planes directly (stride `k`) without materializing
-    /// `RouteEntry` values; in AoS it reads the first slot per block.
+    /// build full distance vectors. Walks the cost and hops planes
+    /// directly (stride `k`) without materializing `RouteEntry` values.
     pub fn append_vector(&self, out: &mut Vec<(NodeId, f64, u32)>) {
         let k = self.k;
-        match &self.arena {
-            Arena::Aos { slots } => out.extend(self.dests.iter().enumerate().map(|(p, &d)| {
-                let e = slots[p * k];
-                (d, e.cost, e.hops)
-            })),
-            Arena::Soa { cost, hops, .. } => out.extend(
-                self.dests
-                    .iter()
-                    .enumerate()
-                    .map(|(p, &d)| (d, cost[p * k], hops[p * k])),
-            ),
-        }
+        out.extend(
+            self.dests
+                .iter()
+                .enumerate()
+                .map(|(p, &d)| (d, self.cost[p * k], self.hops[p * k])),
+        );
     }
 
     /// Number of destinations.
@@ -881,10 +551,10 @@ impl RoutingTable {
             let len = self.lens[p] as usize;
             let mut kept = 0;
             for i in 0..len {
-                let e = self.arena.entry(base + i);
+                let e = self.entry(base + i);
                 if e.via != via {
                     if kept != i {
-                        self.arena.write(base + kept, e);
+                        self.write(base + kept, e);
                     }
                     kept += 1;
                 }
@@ -894,7 +564,7 @@ impl RoutingTable {
             }
             changed = true;
             for i in kept..len {
-                self.arena.write(base + i, VACANT);
+                self.write(base + i, VACANT);
             }
             self.lens[p] = kept as u32;
             if kept == 0 {
@@ -924,7 +594,7 @@ impl RoutingTable {
     /// sets per table, where repeated [`RoutingTable::remove_dest`] calls
     /// would shift the arena once per destination; batched windows make
     /// those sets large enough for the difference to matter. All planes
-    /// compact in lockstep in the SoA layout.
+    /// compact in lockstep.
     pub fn remove_dests(&mut self, dests: &[NodeId]) -> usize {
         debug_assert!(
             dests.windows(2).all(|w| w[0] < w[1]),
@@ -944,61 +614,64 @@ impl RoutingTable {
             if kept != p {
                 self.dests[kept] = d;
                 self.lens[kept] = self.lens[p];
-                self.arena.copy_block(p * k, kept * k, k);
+                let (src, dst) = (p * k..p * k + k, kept * k);
+                self.via.copy_within(src.clone(), dst);
+                self.cost.copy_within(src.clone(), dst);
+                self.hops.copy_within(src, dst);
             }
             kept += 1;
         }
         let removed = self.dests.len() - kept;
         self.dests.truncate(kept);
         self.lens.truncate(kept);
-        self.arena.truncate(kept * k);
+        self.via.truncate(kept * k);
+        self.cost.truncate(kept * k);
+        self.hops.truncate(kept * k);
         if removed > 0 {
-            self.rebuild_slot_index();
-        }
-        removed
-    }
-
-    /// Rebuilds the SoA destination index plane from the destination vector
-    /// (no-op in AoS). Used after batch compactions, where per-row index
-    /// maintenance would cost more than one rebuild.
-    fn rebuild_slot_index(&mut self) {
-        if let Arena::Soa { slot_of, .. } = &mut self.arena {
-            slot_of.clear();
+            // One index rebuild beats per-row maintenance after a batch
+            // compaction.
+            self.slot_of.clear();
             for (p, d) in self.dests.iter().enumerate() {
                 let i = d.index();
-                if slot_of.len() <= i {
-                    slot_of.resize(i + 1, 0);
+                if self.slot_of.len() <= i {
+                    self.slot_of.resize(i + 1, 0);
                 }
-                slot_of[i] = (p + 1) as u32;
+                self.slot_of[i] = (p + 1) as u32;
             }
         }
+        removed
     }
 
     fn remove_at(&mut self, p: usize) {
         let dest = self.dests.remove(p);
         self.lens.remove(p);
-        self.arena.drain_block(p * self.k, self.k);
-        if let Arena::Soa { slot_of, .. } = &mut self.arena {
-            slot_of[dest.index()] = 0;
-            for d in &self.dests[p..] {
-                slot_of[d.index()] -= 1;
-            }
+        let block = p * self.k..(p + 1) * self.k;
+        self.via.drain(block.clone());
+        self.cost.drain(block.clone());
+        self.hops.drain(block);
+        self.slot_of[dest.index()] = 0;
+        for d in &self.dests[p..] {
+            self.slot_of[d.index()] -= 1;
         }
     }
 
     /// Clears the table (used when DBF re-executes from scratch). Keeps the
-    /// arena's capacity so rebuilds do not reallocate, and keeps the
-    /// configured layout.
+    /// planes' capacity so rebuilds do not reallocate.
     pub fn clear(&mut self) {
         self.dests.clear();
         self.lens.clear();
-        self.arena.clear();
+        self.via.clear();
+        self.cost.clear();
+        self.hops.clear();
+        // An empty index plane means "every destination absent"; inserts
+        // re-grow it (zero-filled) on demand, so clearing beats an
+        // O(max id) memset per rebuild.
+        self.slot_of.clear();
     }
 }
 
 impl PartialEq for RoutingTable {
-    /// Live entries only, layout-blind: a SoA table equals the AoS table
-    /// holding the same routes (vacant arena slots never affect equality).
+    /// Live entries only: vacant slots never affect equality.
     fn eq(&self, other: &Self) -> bool {
         self.k == other.k
             && self.dests == other.dests
@@ -1019,10 +692,8 @@ impl std::fmt::Debug for RoutingTable {
 
 /// A borrowed, by-value view of one destination's live routes, best first.
 ///
-/// The SoA arena has no contiguous `[RouteEntry]` to hand out, so this view
-/// replaces the slice the pre-SoA `routes_to` returned: it is `Copy`,
-/// iterates `RouteEntry` **values**, and compares layout-blind (a view into
-/// a SoA table equals the view of the same routes in an AoS table).
+/// The planes have no contiguous `[RouteEntry]` to hand out, so this view
+/// stands in for a slice: it is `Copy` and iterates `RouteEntry` **values**.
 #[derive(Clone, Copy)]
 pub struct Routes<'a> {
     table: &'a RoutingTable,
@@ -1046,7 +717,7 @@ impl Routes<'_> {
     /// The `i`-th best route (0 = best), if live.
     #[must_use]
     pub fn get(&self, i: usize) -> Option<RouteEntry> {
-        (i < self.len).then(|| self.table.arena.entry(self.base + i))
+        (i < self.len).then(|| self.table.entry(self.base + i))
     }
 
     /// Iterates the live routes by value, best first.
@@ -1129,8 +800,6 @@ impl ExactSizeIterator for RoutesIter<'_> {}
 mod tests {
     use super::*;
 
-    const BOTH: [TableLayout; 2] = [TableLayout::Soa, TableLayout::Aos];
-
     fn e(via: u32, cost: f64, hops: u32) -> RouteEntry {
         RouteEntry {
             via: NodeId::new(via),
@@ -1140,262 +809,182 @@ mod tests {
     }
 
     #[test]
-    fn layout_labels_round_trip() {
-        assert_eq!(TableLayout::default(), TableLayout::Soa);
-        for layout in BOTH {
-            assert_eq!(layout.label().parse::<TableLayout>().unwrap(), layout);
-            assert_eq!(layout.to_string(), layout.label());
-        }
-        assert!("rowmajor".parse::<TableLayout>().is_err());
-        assert_eq!(RoutingTable::new(2).layout(), TableLayout::Soa);
-        assert_eq!(
-            RoutingTable::with_layout(2, TableLayout::Aos).layout(),
-            TableLayout::Aos
-        );
-    }
-
-    #[test]
     fn keeps_best_k_sorted() {
-        for layout in BOTH {
-            let mut t = RoutingTable::with_layout(2, layout);
-            let d = NodeId::new(100);
-            assert!(t.offer(d, e(1, 3.0, 1)));
-            assert!(t.offer(d, e(2, 1.0, 2)));
-            assert!(t.offer(d, e(3, 2.0, 2)));
-            assert_eq!(t.routes_to(d).len(), 2);
-            assert_eq!(t.best(d).unwrap().via, NodeId::new(2));
-            assert_eq!(t.alternative(d, 1).unwrap().via, NodeId::new(3));
-            assert!(t.alternative(d, 2).is_none());
-        }
+        let mut t = RoutingTable::new(2);
+        let d = NodeId::new(100);
+        assert!(t.offer(d, e(1, 3.0, 1)));
+        assert!(t.offer(d, e(2, 1.0, 2)));
+        assert!(t.offer(d, e(3, 2.0, 2)));
+        assert_eq!(t.routes_to(d).len(), 2);
+        assert_eq!(t.best(d).unwrap().via, NodeId::new(2));
+        assert_eq!(t.alternative(d, 1).unwrap().via, NodeId::new(3));
+        assert!(t.alternative(d, 2).is_none());
     }
 
     #[test]
     fn replaces_route_via_same_neighbor() {
-        for layout in BOTH {
-            let mut t = RoutingTable::with_layout(2, layout);
-            let d = NodeId::new(5);
-            assert!(t.offer(d, e(1, 3.0, 2)));
-            // Same neighbor, same route: no change.
-            assert!(!t.offer(d, e(1, 3.0, 2)));
-            // Same neighbor, worse cost: replaced (vector reports current
-            // truth).
-            assert!(t.offer(d, e(1, 4.0, 2)));
-            assert_eq!(t.best(d).unwrap().cost, 4.0);
-            // And improvement also replaces.
-            assert!(t.offer(d, e(1, 2.0, 2)));
-            assert_eq!(t.best(d).unwrap().cost, 2.0);
-            assert_eq!(t.routes_to(d).len(), 1);
-        }
+        let mut t = RoutingTable::new(2);
+        let d = NodeId::new(5);
+        assert!(t.offer(d, e(1, 3.0, 2)));
+        // Same neighbor, same route: no change.
+        assert!(!t.offer(d, e(1, 3.0, 2)));
+        // Same neighbor, worse cost: replaced (vector reports current
+        // truth).
+        assert!(t.offer(d, e(1, 4.0, 2)));
+        assert_eq!(t.best(d).unwrap().cost, 4.0);
+        // And improvement also replaces.
+        assert!(t.offer(d, e(1, 2.0, 2)));
+        assert_eq!(t.best(d).unwrap().cost, 2.0);
+        assert_eq!(t.routes_to(d).len(), 1);
     }
 
     #[test]
     fn tie_breaks_on_hops_then_id() {
-        for layout in BOTH {
-            let mut t = RoutingTable::with_layout(3, layout);
-            let d = NodeId::new(7);
-            t.offer(d, e(9, 1.0, 3));
-            t.offer(d, e(4, 1.0, 2));
-            t.offer(d, e(2, 1.0, 3));
-            let vias: Vec<u32> = t.routes_to(d).iter().map(|r| r.via.raw()).collect();
-            assert_eq!(vias, vec![4, 2, 9]);
-        }
+        let mut t = RoutingTable::new(3);
+        let d = NodeId::new(7);
+        t.offer(d, e(9, 1.0, 3));
+        t.offer(d, e(4, 1.0, 2));
+        t.offer(d, e(2, 1.0, 3));
+        let vias: Vec<u32> = t.routes_to(d).iter().map(|r| r.via.raw()).collect();
+        assert_eq!(vias, vec![4, 2, 9]);
     }
 
     #[test]
     fn best_avoiding_skips_failed_neighbor() {
-        for layout in BOTH {
-            let mut t = RoutingTable::with_layout(2, layout);
-            let d = NodeId::new(7);
-            t.offer(d, e(1, 1.0, 1));
-            t.offer(d, e(2, 2.0, 2));
-            assert_eq!(
-                t.best_avoiding(d, NodeId::new(1)).unwrap().via,
-                NodeId::new(2)
-            );
-            assert!(t.best_avoiding(d, NodeId::new(1)).is_some());
-            t.purge_via(NodeId::new(2));
-            assert!(t.best_avoiding(d, NodeId::new(1)).is_none());
-        }
+        let mut t = RoutingTable::new(2);
+        let d = NodeId::new(7);
+        t.offer(d, e(1, 1.0, 1));
+        t.offer(d, e(2, 2.0, 2));
+        assert_eq!(
+            t.best_avoiding(d, NodeId::new(1)).unwrap().via,
+            NodeId::new(2)
+        );
+        assert!(t.best_avoiding(d, NodeId::new(1)).is_some());
+        t.purge_via(NodeId::new(2));
+        assert!(t.best_avoiding(d, NodeId::new(1)).is_none());
     }
 
     #[test]
     fn purge_via_drops_empty_destinations() {
-        for layout in BOTH {
-            let mut t = RoutingTable::with_layout(2, layout);
-            t.offer(NodeId::new(7), e(1, 1.0, 1));
-            t.offer(NodeId::new(8), e(1, 1.0, 1));
-            t.offer(NodeId::new(8), e(2, 2.0, 2));
-            assert!(t.purge_via(NodeId::new(1)));
-            assert_eq!(t.len(), 1);
-            assert!(t.best(NodeId::new(7)).is_none());
-            assert_eq!(t.best(NodeId::new(8)).unwrap().via, NodeId::new(2));
-            assert!(!t.purge_via(NodeId::new(9)));
-        }
+        let mut t = RoutingTable::new(2);
+        t.offer(NodeId::new(7), e(1, 1.0, 1));
+        t.offer(NodeId::new(8), e(1, 1.0, 1));
+        t.offer(NodeId::new(8), e(2, 2.0, 2));
+        assert!(t.purge_via(NodeId::new(1)));
+        assert_eq!(t.len(), 1);
+        assert!(t.best(NodeId::new(7)).is_none());
+        assert_eq!(t.best(NodeId::new(8)).unwrap().via, NodeId::new(2));
+        assert!(!t.purge_via(NodeId::new(9)));
     }
 
     #[test]
     fn accounting_helpers() {
-        for layout in BOTH {
-            let mut t = RoutingTable::with_layout(2, layout);
-            assert!(t.is_empty());
-            t.offer(NodeId::new(1), e(2, 1.0, 1));
-            t.offer(NodeId::new(3), e(2, 1.0, 1));
-            t.offer(NodeId::new(3), e(4, 2.0, 2));
-            assert_eq!(t.len(), 2);
-            assert_eq!(t.total_entries(), 3);
-            let dests: Vec<u32> = t.destinations().map(NodeId::raw).collect();
-            assert_eq!(dests, vec![1, 3]);
-            t.clear();
-            assert!(t.is_empty());
-            assert_eq!(t.layout(), layout, "clear keeps the layout");
-        }
+        let mut t = RoutingTable::new(2);
+        assert!(t.is_empty());
+        t.offer(NodeId::new(1), e(2, 1.0, 1));
+        t.offer(NodeId::new(3), e(2, 1.0, 1));
+        t.offer(NodeId::new(3), e(4, 2.0, 2));
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.total_entries(), 3);
+        let dests: Vec<u32> = t.destinations().map(NodeId::raw).collect();
+        assert_eq!(dests, vec![1, 3]);
+        t.clear();
+        assert!(t.is_empty());
     }
 
     #[test]
     fn remove_dest_drops_only_that_destination() {
-        for layout in BOTH {
-            let mut t = RoutingTable::with_layout(2, layout);
-            t.offer(NodeId::new(1), e(2, 1.0, 1));
-            t.offer(NodeId::new(3), e(2, 1.0, 1));
-            assert!(t.remove_dest(NodeId::new(1)));
-            assert!(!t.remove_dest(NodeId::new(1)));
-            assert!(t.best(NodeId::new(1)).is_none());
-            assert_eq!(t.best(NodeId::new(3)).unwrap().via, NodeId::new(2));
-            assert_eq!(t.len(), 1);
-        }
+        let mut t = RoutingTable::new(2);
+        t.offer(NodeId::new(1), e(2, 1.0, 1));
+        t.offer(NodeId::new(3), e(2, 1.0, 1));
+        assert!(t.remove_dest(NodeId::new(1)));
+        assert!(!t.remove_dest(NodeId::new(1)));
+        assert!(t.best(NodeId::new(1)).is_none());
+        assert_eq!(t.best(NodeId::new(3)).unwrap().via, NodeId::new(2));
+        assert_eq!(t.len(), 1);
     }
 
     #[test]
     fn remove_dests_compacts_in_one_pass() {
-        for layout in BOTH {
-            let mut t = RoutingTable::with_layout(2, layout);
-            for d in [1u32, 3, 5, 7, 9] {
-                t.offer(NodeId::new(d), e(2, f64::from(d), 1));
-                t.offer(NodeId::new(d), e(4, f64::from(d) + 1.0, 2));
-            }
-            // Mixed present/absent targets; the absent ones count for
-            // nothing.
-            let removed = t.remove_dests(&[NodeId::new(3), NodeId::new(4), NodeId::new(9)]);
-            assert_eq!(removed, 2);
-            assert_eq!(t.len(), 3);
-            for d in [1u32, 5, 7] {
-                assert_eq!(t.best(NodeId::new(d)).unwrap().cost, f64::from(d));
-                assert_eq!(t.routes_to(NodeId::new(d)).len(), 2);
-            }
-            assert!(t.best(NodeId::new(3)).is_none());
-            assert!(t.best(NodeId::new(9)).is_none());
-            // Equivalent to the per-destination removals, bit for bit.
-            let mut one_by_one = RoutingTable::with_layout(2, layout);
-            for d in [1u32, 5, 7] {
-                one_by_one.offer(NodeId::new(d), e(2, f64::from(d), 1));
-                one_by_one.offer(NodeId::new(d), e(4, f64::from(d) + 1.0, 2));
-            }
-            assert_eq!(t, one_by_one);
-            assert_eq!(t.remove_dests(&[]), 0);
-            assert_eq!(t.len(), 3);
+        let mut t = RoutingTable::new(2);
+        for d in [1u32, 3, 5, 7, 9] {
+            t.offer(NodeId::new(d), e(2, f64::from(d), 1));
+            t.offer(NodeId::new(d), e(4, f64::from(d) + 1.0, 2));
         }
+        // Mixed present/absent targets; the absent ones count for
+        // nothing.
+        let removed = t.remove_dests(&[NodeId::new(3), NodeId::new(4), NodeId::new(9)]);
+        assert_eq!(removed, 2);
+        assert_eq!(t.len(), 3);
+        for d in [1u32, 5, 7] {
+            assert_eq!(t.best(NodeId::new(d)).unwrap().cost, f64::from(d));
+            assert_eq!(t.routes_to(NodeId::new(d)).len(), 2);
+        }
+        assert!(t.best(NodeId::new(3)).is_none());
+        assert!(t.best(NodeId::new(9)).is_none());
+        // Equivalent to the per-destination removals, bit for bit.
+        let mut one_by_one = RoutingTable::new(2);
+        for d in [1u32, 5, 7] {
+            one_by_one.offer(NodeId::new(d), e(2, f64::from(d), 1));
+            one_by_one.offer(NodeId::new(d), e(4, f64::from(d) + 1.0, 2));
+        }
+        assert_eq!(t, one_by_one);
+        assert_eq!(t.remove_dests(&[]), 0);
+        assert_eq!(t.len(), 3);
     }
 
     #[test]
     fn arena_iter_matches_lookups() {
-        for layout in BOTH {
-            let mut t = RoutingTable::with_layout(2, layout);
-            t.offer(NodeId::new(4), e(1, 2.0, 1));
-            t.offer(NodeId::new(4), e(3, 1.0, 1));
-            t.offer(NodeId::new(9), e(1, 5.0, 2));
-            let flat: Vec<(NodeId, usize)> = t.iter().map(|(d, rs)| (d, rs.len())).collect();
-            assert_eq!(flat, vec![(NodeId::new(4), 2), (NodeId::new(9), 1)]);
-            for (d, rs) in t.iter() {
-                assert_eq!(rs, t.routes_to(d));
-            }
+        let mut t = RoutingTable::new(2);
+        t.offer(NodeId::new(4), e(1, 2.0, 1));
+        t.offer(NodeId::new(4), e(3, 1.0, 1));
+        t.offer(NodeId::new(9), e(1, 5.0, 2));
+        let flat: Vec<(NodeId, usize)> = t.iter().map(|(d, rs)| (d, rs.len())).collect();
+        assert_eq!(flat, vec![(NodeId::new(4), 2), (NodeId::new(9), 1)]);
+        for (d, rs) in t.iter() {
+            assert_eq!(rs, t.routes_to(d));
         }
     }
 
     #[test]
     fn append_vector_flattens_best_routes() {
-        for layout in BOTH {
-            let mut t = RoutingTable::with_layout(2, layout);
-            t.offer(NodeId::new(4), e(1, 2.0, 1));
-            t.offer(NodeId::new(4), e(3, 1.0, 1));
-            t.offer(NodeId::new(9), e(1, 5.0, 2));
-            let mut flat = vec![(NodeId::new(0), 0.0, 0)]; // appends, not overwrites
-            t.append_vector(&mut flat);
-            assert_eq!(
-                flat[1..],
-                [(NodeId::new(4), 1.0, 1), (NodeId::new(9), 5.0, 2)]
-            );
-        }
+        let mut t = RoutingTable::new(2);
+        t.offer(NodeId::new(4), e(1, 2.0, 1));
+        t.offer(NodeId::new(4), e(3, 1.0, 1));
+        t.offer(NodeId::new(9), e(1, 5.0, 2));
+        let mut flat = vec![(NodeId::new(0), 0.0, 0)]; // appends, not overwrites
+        t.append_vector(&mut flat);
+        assert_eq!(
+            flat[1..],
+            [(NodeId::new(4), 1.0, 1), (NodeId::new(9), 5.0, 2)]
+        );
     }
 
     #[test]
     fn equality_ignores_vacant_slots() {
-        for layout in BOTH {
-            // Build the same logical table along two different histories, so
-            // the vacant arena slots hold different garbage.
-            let mut a = RoutingTable::with_layout(2, layout);
-            a.offer(NodeId::new(7), e(1, 1.0, 1));
-            a.offer(NodeId::new(7), e(2, 2.0, 2));
-            a.purge_via(NodeId::new(2));
-            let mut b = RoutingTable::with_layout(2, layout);
-            b.offer(NodeId::new(7), e(1, 1.0, 1));
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
-    fn equality_is_layout_blind() {
-        let mut soa = RoutingTable::new(2);
-        let mut aos = RoutingTable::with_layout(2, TableLayout::Aos);
-        for t in [&mut soa, &mut aos] {
-            t.offer(NodeId::new(7), e(1, 1.0, 1));
-            t.offer(NodeId::new(7), e(2, 2.0, 2));
-            t.offer(NodeId::new(9), e(2, 4.0, 3));
-        }
-        assert_eq!(soa, aos);
-        aos.offer(NodeId::new(9), e(1, 3.0, 1));
-        assert_ne!(soa, aos);
-    }
-
-    #[test]
-    fn convert_layout_preserves_contents() {
-        let mut t = RoutingTable::new(3);
-        for d in [2u32, 5, 9] {
-            for via in 1..=4u32 {
-                t.offer(NodeId::new(d), e(via, f64::from(via * d % 7) + 0.5, via));
-            }
-        }
-        let original = t.clone();
-        t.convert_layout(TableLayout::Aos);
-        assert_eq!(t.layout(), TableLayout::Aos);
-        assert_eq!(t, original);
-        t.convert_layout(TableLayout::Aos); // no-op
-        assert_eq!(t.layout(), TableLayout::Aos);
-        t.convert_layout(TableLayout::Soa);
-        assert_eq!(t.layout(), TableLayout::Soa);
-        assert_eq!(t, original);
-        // The round-tripped table keeps behaving identically.
-        let mut twin = original.clone();
-        assert_eq!(
-            t.offer(NodeId::new(5), e(9, 0.1, 1)),
-            twin.offer(NodeId::new(5), e(9, 0.1, 1))
-        );
-        assert_eq!(t, twin);
+        // Build the same logical table along two different histories, so
+        // the vacant arena slots hold different garbage.
+        let mut a = RoutingTable::new(2);
+        a.offer(NodeId::new(7), e(1, 1.0, 1));
+        a.offer(NodeId::new(7), e(2, 2.0, 2));
+        a.purge_via(NodeId::new(2));
+        let mut b = RoutingTable::new(2);
+        b.offer(NodeId::new(7), e(1, 1.0, 1));
+        assert_eq!(a, b);
     }
 
     #[test]
     fn worse_offer_outside_top_k_is_not_a_change() {
-        for layout in BOTH {
-            let mut t = RoutingTable::with_layout(2, layout);
-            let d = NodeId::new(3);
-            assert!(t.offer(d, e(1, 1.0, 1)));
-            assert!(t.offer(d, e(2, 2.0, 1)));
-            assert!(!t.offer(d, e(5, 9.0, 1)), "does not make the top 2");
-            assert_eq!(t.routes_to(d).len(), 2);
-            // But an improving third neighbor displaces the second.
-            assert!(t.offer(d, e(5, 1.5, 1)));
-            let vias: Vec<u32> = t.routes_to(d).iter().map(|r| r.via.raw()).collect();
-            assert_eq!(vias, vec![1, 5]);
-        }
+        let mut t = RoutingTable::new(2);
+        let d = NodeId::new(3);
+        assert!(t.offer(d, e(1, 1.0, 1)));
+        assert!(t.offer(d, e(2, 2.0, 1)));
+        assert!(!t.offer(d, e(5, 9.0, 1)), "does not make the top 2");
+        assert_eq!(t.routes_to(d).len(), 2);
+        // But an improving third neighbor displaces the second.
+        assert!(t.offer(d, e(5, 1.5, 1)));
+        let vias: Vec<u32> = t.routes_to(d).iter().map(|r| r.via.raw()).collect();
+        assert_eq!(vias, vec![1, 5]);
     }
 
     #[test]
@@ -1414,50 +1003,17 @@ mod tests {
             &[(2, e(2, 2.5, 2)), (3, e(2, 1.0, 1)), (9, e(2, 1.5, 1))],
             &[(2, e(1, 2.0, 2)), (5, e(3, 0.5, 1)), (7, e(3, 4.0, 3))],
         ];
-        for layout in BOTH {
-            let mut plain = RoutingTable::with_layout(2, layout);
-            let mut cursored = RoutingTable::with_layout(2, layout);
-            for vector in vectors {
-                let mut cursor = 0usize;
-                for &(d, entry) in vector {
-                    let a = plain.offer(NodeId::new(d), entry);
-                    let b = cursored.offer_ascending(NodeId::new(d), entry, &mut cursor);
-                    assert_eq!(a, b, "changed-flag must agree at dest {d}");
-                }
+        let mut plain = RoutingTable::new(2);
+        let mut cursored = RoutingTable::new(2);
+        for vector in vectors {
+            let mut cursor = 0usize;
+            for &(d, entry) in vector {
+                let a = plain.offer(NodeId::new(d), entry);
+                let b = cursored.offer_ascending(NodeId::new(d), entry, &mut cursor);
+                assert_eq!(a, b, "changed-flag must agree at dest {d}");
             }
-            assert_eq!(plain, cursored);
         }
-    }
-
-    #[test]
-    fn layouts_agree_on_epsilon_tie_windows() {
-        // Costs spaced ~COST_EPS apart exercise the non-transitive epsilon
-        // comparator, where the replace arm's full-count rank and the
-        // insert arm's early-exit rank can legitimately differ — the SoA
-        // kernel must reproduce both arms exactly.
-        let base = 1.0f64;
-        let offers: Vec<(u32, RouteEntry)> = (0..6u32)
-            .flat_map(|round| {
-                (1..=4u32).map(move |via| {
-                    (
-                        7u32,
-                        e(
-                            via,
-                            base + f64::from((round * 4 + via) % 5) * (COST_EPS * 0.6),
-                            1 + (via + round) % 3,
-                        ),
-                    )
-                })
-            })
-            .collect();
-        let mut soa = RoutingTable::new(2);
-        let mut aos = RoutingTable::with_layout(2, TableLayout::Aos);
-        for &(d, entry) in &offers {
-            let a = soa.offer(NodeId::new(d), entry);
-            let b = aos.offer(NodeId::new(d), entry);
-            assert_eq!(a, b, "changed flags diverged on {entry:?}");
-            assert_eq!(soa, aos, "tables diverged after {entry:?}");
-        }
+        assert_eq!(plain, cursored);
     }
 
     #[cfg(debug_assertions)]

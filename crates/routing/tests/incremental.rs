@@ -1,19 +1,22 @@
 //! Property-based equivalence of the incremental delta-DBF against the
-//! full-rebuild reference oracle.
+//! two reference roots.
 //!
 //! An incremental engine survives an arbitrary sequence of topology events
 //! (node moves, failures, repairs), re-converging only the affected zones
 //! after each one. After every event its tables must be **exactly** equal
-//! to a from-scratch `reset` + `run_to_convergence_masked` rebuild — the
-//! delta exchange restricted to the invalidated destinations replays the
-//! same relaxation the full rebuild would, so even the floating-point sums
+//! to the test-side sequential full rebuild (`common::rebuild`) — the delta
+//! exchange restricted to the invalidated destinations replays the same
+//! relaxation the full rebuild would, so even the floating-point sums
 //! agree bit for bit. A centralized Dijkstra cross-check (with tolerance)
-//! guards against both distributed paths drifting together.
+//! guards against both distributed constructions drifting together.
 
+mod common;
+
+use common::assert_matches_roots;
 use proptest::prelude::*;
 use spms_net::{placement, NodeId, Point, SpatialGrid, Topology, ZoneTable};
 use spms_phy::RadioProfile;
-use spms_routing::{oracle_tables_masked, DbfEngine};
+use spms_routing::DbfEngine;
 
 /// One topology event, decoded from raw proptest draws.
 #[derive(Clone, Copy, Debug)]
@@ -40,53 +43,6 @@ fn build_zones(topo: &Topology, radius: f64) -> ZoneTable {
     ZoneTable::build(topo, &RadioProfile::mica2(), radius)
 }
 
-/// Asserts exact table equality between the incremental engine and a
-/// from-scratch rebuild, and tolerant agreement with the Dijkstra oracle.
-fn assert_matches_reference(
-    dbf: &DbfEngine,
-    zones: &ZoneTable,
-    alive: &[bool],
-    context: &str,
-) -> Result<(), TestCaseError> {
-    let mut reference = DbfEngine::new(zones, dbf.k());
-    reference.reset(zones, alive);
-    reference.run_to_convergence_masked(zones, alive);
-    let oracle = oracle_tables_masked(zones, dbf.k(), alive);
-    for (i, want) in oracle.iter().enumerate() {
-        let node = NodeId::new(i as u32);
-        prop_assert_eq!(
-            dbf.table(node),
-            reference.table(node),
-            "{}: node {} diverged from the full rebuild",
-            context,
-            node
-        );
-        let got = dbf.table(node);
-        let gd: Vec<NodeId> = got.destinations().collect();
-        let wd: Vec<NodeId> = want.destinations().collect();
-        prop_assert_eq!(gd, wd, "{}: node {} oracle destination sets", context, node);
-        for d in want.destinations() {
-            let a = want.routes_to(d);
-            let b = got.routes_to(d);
-            prop_assert_eq!(a.len(), b.len(), "{}: node {} dest {}", context, node, d);
-            for (x, y) in a.iter().zip(b.iter()) {
-                prop_assert_eq!(x.via, y.via, "{}: node {} dest {}", context, node, d);
-                prop_assert_eq!(x.hops, y.hops, "{}: node {} dest {}", context, node, d);
-                prop_assert!(
-                    (x.cost - y.cost).abs() < 1e-9,
-                    "{}: node {} dest {}: oracle {} vs dbf {}",
-                    context,
-                    node,
-                    d,
-                    x.cost,
-                    y.cost
-                );
-            }
-        }
-    }
-    Ok(())
-}
-
 proptest! {
     // Fixed seed + bounded case count keeps this suite deterministic in CI.
     #![proptest_config(ProptestConfig {
@@ -111,7 +67,7 @@ proptest! {
         let mut zones = build_zones(&topo, radius);
         let mut alive = vec![true; n];
         let mut dbf = DbfEngine::new(&zones, k);
-        dbf.run_to_convergence(&zones);
+        dbf.rebuild_sharded(&zones, &vec![true; n]);
 
         for (step, op) in ops.iter().enumerate() {
             let context = format!("step {step} ({op:?})");
@@ -139,7 +95,7 @@ proptest! {
                     dbf.invalidate_zone(&zones, &[NodeId::new(node as u32)], &alive);
                 }
             }
-            assert_matches_reference(&dbf, &zones, &alive, &context)?;
+            assert_matches_roots(&dbf, &zones, &alive, &context)?;
         }
     }
 
@@ -160,7 +116,7 @@ proptest! {
         let mut zones = build_zones(&topo, radius);
         let mut alive = vec![true; n];
         let mut dbf = DbfEngine::new(&zones, 2);
-        dbf.run_to_convergence(&zones);
+        dbf.rebuild_sharded(&zones, &vec![true; n]);
         let mut unreported: Vec<NodeId> = Vec::new();
 
         for (step, op) in ops.iter().enumerate() {
@@ -177,7 +133,7 @@ proptest! {
                     changed.append(&mut unreported);
                     changed.dedup();
                     dbf.update_topology(&old_zones, &zones, &changed, &alive);
-                    assert_matches_reference(
+                    assert_matches_roots(
                         &dbf,
                         &zones,
                         &alive,
@@ -198,7 +154,7 @@ proptest! {
         if !unreported.is_empty() {
             unreported.dedup();
             dbf.invalidate_zone(&zones, &unreported, &alive);
-            assert_matches_reference(&dbf, &zones, &alive, "final flush")?;
+            assert_matches_roots(&dbf, &zones, &alive, "final flush")?;
         }
     }
 
@@ -225,7 +181,7 @@ proptest! {
         let mut zones = ZoneTable::build_indexed(&topo, &radio, &grid, radius);
         let mut alive = vec![true; n];
         let mut dbf = DbfEngine::new(&zones, k);
-        dbf.run_to_convergence(&zones);
+        dbf.rebuild_sharded(&zones, &vec![true; n]);
         let mut unreported: Vec<NodeId> = Vec::new();
 
         for (step, op) in ops.iter().enumerate() {
@@ -245,7 +201,7 @@ proptest! {
                     unreported.dedup();
                     dbf.apply_zone_delta(&zones, &delta, &unreported, &alive);
                     unreported.clear();
-                    assert_matches_reference(
+                    assert_matches_roots(
                         &dbf,
                         &zones,
                         &alive,
@@ -267,7 +223,7 @@ proptest! {
         if !unreported.is_empty() {
             unreported.dedup();
             dbf.invalidate_zone(&zones, &unreported, &alive);
-            assert_matches_reference(&dbf, &zones, &alive, "final flush")?;
+            assert_matches_roots(&dbf, &zones, &alive, "final flush")?;
         }
     }
 
@@ -293,7 +249,7 @@ proptest! {
         let zones = build_zones(&topo, radius);
         let mut alive = vec![true; n];
         let mut dbf = DbfEngine::new(&zones, k);
-        dbf.run_to_convergence(&zones);
+        dbf.rebuild_sharded(&zones, &vec![true; n]);
         for (step, (raw, kill)) in epochs.iter().enumerate() {
             let mut cohort: Vec<NodeId> = raw
                 .iter()
@@ -305,7 +261,7 @@ proptest! {
                 alive[c.index()] = !kill;
             }
             dbf.invalidate_zone(&zones, &cohort, &alive);
-            assert_matches_reference(
+            assert_matches_roots(
                 &dbf,
                 &zones,
                 &alive,
@@ -328,7 +284,7 @@ proptest! {
         let moved = NodeId::new(node as usize as u32 % n as u32);
         let old_zones = build_zones(&topo, 20.0);
         let mut dbf = DbfEngine::new(&old_zones, 2);
-        dbf.run_to_convergence(&old_zones);
+        dbf.rebuild_sharded(&old_zones, &vec![true; n]);
         let field = topo.field();
         topo.move_node(moved, Point::new(fx * field.width, fy * field.height));
         let new_zones = build_zones(&topo, 20.0);
@@ -353,11 +309,11 @@ fn full_cohort_leave_then_rejoin_matches_rebuild() -> Result<(), TestCaseError> 
     let zones = build_zones(&topo, 20.0);
     let everyone: Vec<NodeId> = (0..n as u32).map(NodeId::new).collect();
     let mut dbf = DbfEngine::new(&zones, 2);
-    dbf.run_to_convergence(&zones);
+    dbf.rebuild_sharded(&zones, &vec![true; n]);
 
     let dead = vec![false; n];
     dbf.invalidate_zone(&zones, &everyone, &dead);
-    assert_matches_reference(&dbf, &zones, &dead, "empty field")?;
+    assert_matches_roots(&dbf, &zones, &dead, "empty field")?;
     for node in &everyone {
         assert_eq!(
             dbf.table(*node).destinations().count(),
@@ -368,6 +324,6 @@ fn full_cohort_leave_then_rejoin_matches_rebuild() -> Result<(), TestCaseError> 
 
     let alive = vec![true; n];
     dbf.invalidate_zone(&zones, &everyone, &alive);
-    assert_matches_reference(&dbf, &zones, &alive, "full rejoin")?;
+    assert_matches_roots(&dbf, &zones, &alive, "full rejoin")?;
     Ok(())
 }

@@ -1,33 +1,27 @@
-//! Differential-oracle harness for the zone-sharded executions: the
-//! epoch-batched delta re-convergence and the sharded full rebuild.
+//! Differential harness for the range-partitioned DBF executions: the
+//! epoch-batched delta re-convergence and the full rebuild.
 //!
-//! The equivalence chain has four rungs, each property-tested against the
-//! one below it over random move/kill/revive sequences (with silent
-//! liveness flips and multi-epoch batching windows):
+//! Every engine runs the one production round loop, at 1, 2, 8 and 16
+//! receiver ranges (the pool-size matrix: inline, the smallest real pool,
+//! and two beyond-the-host widths), over random move/kill/revive sequences
+//! with silent liveness flips and multi-epoch batching windows fed as
+//! merged [`ZoneDelta`]s. Each flush is checked against two roots:
 //!
-//! 1. **Root oracle** — sequential full rebuild (`reset` +
-//!    `run_to_convergence_masked`), the paper's "re-execution of the DBF",
-//!    kept verbatim.
-//! 2. **Sharded full rebuild** — [`DbfEngine::rebuild_sharded`] at 1, 2,
-//!    8 and 16 partitions, proven bit-identical (tables *and* stats) to
-//!    the root.
-//! 3. **Mid-level oracle** — the sequential delta path (`DbfEngine`
-//!    without shards), itself proven against the root in
-//!    `crates/routing/tests/incremental.rs`.
-//! 4. **Sharded + batched delta** — the shard planner at 1, 2, 8 and 16
-//!    partitions (the pool-size matrix: inline, the smallest real pool,
-//!    and two beyond-the-host widths), fed merged [`ZoneDelta`]s
-//!    covering whole batching windows.
+//! 1. the test-side sequential full rebuild (`common::rebuild`) — tables
+//!    bit-identical, and full-rebuild stats byte-identical;
+//! 2. the Dijkstra construction (`oracle_tables_masked`) — destinations,
+//!    next hops and hop counts identical, costs within tolerance.
 //!
-//! Every flush must leave all rungs with bit-identical tables, and the
-//! sharded runners must also report byte-identical [`DbfStats`] to their
-//! sequential counterparts — the planner may only change wall-clock time,
-//! never results or accounting.
+//! The engines must also report byte-identical [`DbfStats`] to each other
+//! — the range count may only change wall-clock time, never results or
+//! accounting.
+
+mod common;
 
 use proptest::prelude::*;
 use spms_net::{placement, NodeId, Point, SpatialGrid, ZoneDelta, ZoneTable};
 use spms_phy::RadioProfile;
-use spms_routing::DbfEngine;
+use spms_routing::{DbfEngine, DbfStats};
 
 /// One topology event, decoded from raw proptest draws.
 #[derive(Clone, Copy, Debug)]
@@ -58,31 +52,72 @@ fn empty_delta() -> ZoneDelta {
     }
 }
 
-/// Asserts every engine equals the from-scratch root oracle bit for bit.
+/// The range counts every suite runs.
+const SHARDS: [usize; 4] = [1, 2, 8, 16];
+
+/// Checks every engine against both roots.
 fn assert_all_match_root(
-    engines: &[(&'static str, &DbfEngine)],
+    engines: &[(usize, &DbfEngine)],
     zones: &ZoneTable,
     alive: &[bool],
     context: &str,
 ) -> Result<(), TestCaseError> {
-    let k = engines[0].1.k();
-    let mut root = DbfEngine::new(zones, k);
-    root.reset(zones, alive);
-    root.run_to_convergence_masked(zones, alive);
-    for &(label, engine) in engines {
-        for i in 0..zones.len() {
-            let node = NodeId::new(i as u32);
+    for &(shards, engine) in engines {
+        common::assert_matches_roots(engine, zones, alive, &format!("{context}, {shards} shards"))?;
+    }
+    Ok(())
+}
+
+/// Fresh engines at `shards` ranges, initialized by their own full
+/// rebuild, whose stats must equal the reference rebuild's.
+fn rebuilt_engines(
+    zones: &ZoneTable,
+    k: usize,
+    alive: &[bool],
+    shards: &[usize],
+) -> Result<Vec<(usize, DbfEngine)>, TestCaseError> {
+    let (_, want) = common::rebuild(zones, k, alive);
+    shards
+        .iter()
+        .map(|&s| {
+            let mut engine = DbfEngine::new(zones, k).with_shards(s);
+            let got = engine.rebuild_sharded(zones, alive);
             prop_assert_eq!(
-                engine.table(node),
-                root.table(node),
-                "{}: {} diverged from the root oracle at node {}",
-                context,
-                label,
-                node
+                &got,
+                &want,
+                "initial rebuild stats diverged at {} shards",
+                s
             );
+            Ok((s, engine))
+        })
+        .collect()
+}
+
+/// Runs `step` on every engine and asserts they all report the same stats.
+fn step_all(
+    engines: &mut [(usize, DbfEngine)],
+    context: &str,
+    mut step: impl FnMut(&mut DbfEngine) -> DbfStats,
+) -> Result<(), TestCaseError> {
+    let mut first: Option<DbfStats> = None;
+    for (s, engine) in engines.iter_mut() {
+        let got = step(engine);
+        match &first {
+            None => first = Some(got),
+            Some(want) => prop_assert_eq!(
+                &got,
+                want,
+                "{}: {} shards reported different stats",
+                context,
+                s
+            ),
         }
     }
     Ok(())
+}
+
+fn as_refs(engines: &[(usize, DbfEngine)]) -> Vec<(usize, &DbfEngine)> {
+    engines.iter().map(|(s, e)| (*s, e)).collect()
 }
 
 proptest! {
@@ -96,10 +131,9 @@ proptest! {
     /// Random event sequences grouped into batching windows: moves patch
     /// the zone table in place and merge into one `ZoneDelta`; kills and
     /// revives stay silent until the window flushes. At every flush the
-    /// sequential-delta and sharded engines (1/2/8/16 partitions — the
-    /// persistent worker pool parked and rewoken across every window)
-    /// must agree with the root oracle exactly, and the sharded stats
-    /// must equal the sequential stats byte for byte.
+    /// engines (1/2/8/16 ranges — the persistent worker pool parked and
+    /// rewoken across every window) must agree with both roots, and with
+    /// each other's stats byte for byte.
     #[test]
     fn batched_windows_reach_bit_identical_tables_across_shard_counts(
         cols in 3usize..7,
@@ -117,25 +151,7 @@ proptest! {
         let mut zones = ZoneTable::build_indexed(&topo, &radio, &grid, radius);
         let mut alive = vec![true; n];
 
-        let mut seq = DbfEngine::new(&zones, k);
-        seq.reset(&zones, &alive);
-        let init_want = seq.run_to_convergence_masked(&zones, &alive);
-        // The sharded engines enter the chain through the sharded full
-        // rebuild, which must already agree with the root byte for byte.
-        let mut sharded: Vec<(usize, DbfEngine)> = [1usize, 2, 8, 16]
-            .iter()
-            .map(|&s| {
-                let mut engine = DbfEngine::new(&zones, k).with_shards(s);
-                let init_got = engine.rebuild_sharded(&zones, &alive);
-                prop_assert_eq!(
-                    &init_got,
-                    &init_want,
-                    "initial rebuild stats diverged at {} shards",
-                    s
-                );
-                Ok((s, engine))
-            })
-            .collect::<Result<_, TestCaseError>>()?;
+        let mut engines = rebuilt_engines(&zones, k, &alive, &SHARDS)?;
 
         // The batching window: moves merge into one delta, liveness flips
         // wait in `silent`, and everything re-converges at the flush.
@@ -174,31 +190,12 @@ proptest! {
             silent.dedup();
             let delta = std::mem::replace(&mut pending, empty_delta());
             pending_moves = 0;
-            let want = seq.apply_zone_delta(&zones, &delta, &silent, &alive);
-            for (s, engine) in &mut sharded {
-                let got = engine.apply_zone_delta(&zones, &delta, &silent, &alive);
-                prop_assert_eq!(
-                    &got,
-                    &want,
-                    "step {}: {} shards reported different stats",
-                    step,
-                    s
-                );
-            }
+            step_all(&mut engines, &format!("step {step}"), |e| {
+                e.apply_zone_delta(&zones, &delta, &silent, &alive)
+            })?;
             silent.clear();
-            let engines: Vec<(&'static str, &DbfEngine)> = std::iter::once(("sequential", &seq))
-                .chain(sharded.iter().map(|(s, e)| {
-                    let label: &'static str = match s {
-                        1 => "sharded ×1",
-                        2 => "sharded ×2",
-                        8 => "sharded ×8",
-                        _ => "sharded ×16",
-                    };
-                    (label, e)
-                }))
-                .collect();
             assert_all_match_root(
-                &engines,
+                &as_refs(&engines),
                 &zones,
                 &alive,
                 &format!("flush after step {step} ({op:?})"),
@@ -211,8 +208,7 @@ proptest! {
     /// `old_zones` is the table from the *window start* — several epochs
     /// stale — with the deduped union of every mover since. Out-and-back
     /// moves and movers-meeting-movers are all in range of the random
-    /// walk; every flush must land on the root oracle exactly, sequential
-    /// and sharded alike.
+    /// walk; every flush must land on both roots, at one range and eight.
     #[test]
     fn window_stale_old_tables_flush_to_the_root_oracle(
         cols in 3usize..7,
@@ -227,10 +223,7 @@ proptest! {
         let radio = RadioProfile::mica2();
         let mut zones = ZoneTable::build(&topo, &radio, radius);
         let mut alive = vec![true; n];
-        let mut seq = DbfEngine::new(&zones, 2);
-        seq.run_to_convergence(&zones);
-        let mut sharded = DbfEngine::new(&zones, 2).with_shards(8);
-        sharded.run_to_convergence(&zones);
+        let mut engines = rebuilt_engines(&zones, 2, &alive, &[1, 8])?;
 
         // Window state: the zone table as of the window start plus the
         // union of everything that changed since.
@@ -262,13 +255,13 @@ proptest! {
             }
             changed.sort_unstable();
             changed.dedup();
-            let want = seq.update_topology(&window_start, &zones, &changed, &alive);
-            let got = sharded.update_topology(&window_start, &zones, &changed, &alive);
-            prop_assert_eq!(&got, &want, "step {}: sharded stats diverged", step);
+            step_all(&mut engines, &format!("step {step}"), |e| {
+                e.update_topology(&window_start, &zones, &changed, &alive)
+            })?;
             changed.clear();
             window_start = zones.clone();
             assert_all_match_root(
-                &[("sequential", &seq), ("sharded ×8", &sharded)],
+                &as_refs(&engines),
                 &zones,
                 &alive,
                 &format!("stale-window flush after step {step} ({op:?})"),
@@ -277,7 +270,7 @@ proptest! {
     }
 
     /// A window that is pure silence (only kills/revives, no moves) flushes
-    /// through an empty merged delta and still lands on the root oracle —
+    /// through an empty merged delta and still lands on both roots —
     /// the degenerate batch every mobility-free failure window produces.
     #[test]
     fn silent_windows_flush_through_an_empty_delta(
@@ -292,10 +285,7 @@ proptest! {
         let grid = SpatialGrid::for_radius(&topo, radius);
         let zones = ZoneTable::build_indexed(&topo, &radio, &grid, radius);
         let mut alive = vec![true; n];
-        let mut seq = DbfEngine::new(&zones, 2);
-        seq.run_to_convergence(&zones);
-        let mut sharded = DbfEngine::new(&zones, 2).with_shards(8);
-        sharded.run_to_convergence(&zones);
+        let mut engines = rebuilt_engines(&zones, 2, &alive, &[1, 8])?;
 
         let mut silent: Vec<NodeId> = Vec::new();
         for &(kind, node) in &flips {
@@ -306,23 +296,22 @@ proptest! {
         silent.sort_unstable();
         silent.dedup();
         let delta = empty_delta();
-        let want = seq.apply_zone_delta(&zones, &delta, &silent, &alive);
-        let got = sharded.apply_zone_delta(&zones, &delta, &silent, &alive);
-        prop_assert_eq!(&got, &want, "stats must match on silent windows");
+        step_all(&mut engines, "silent flush", |e| {
+            e.apply_zone_delta(&zones, &delta, &silent, &alive)
+        })?;
         assert_all_match_root(
-            &[("sequential", &seq), ("sharded ×8", &sharded)],
+            &as_refs(&engines),
             &zones,
             &alive,
             "silent flush",
         )?;
     }
 
-    /// The sharded full rebuild against the root oracle directly: random
-    /// fields, radii, k and liveness masks, rebuilt at 1, 2, 8 and 16
-    /// partitions. Tables and stats must be bit-identical to the
-    /// sequential `reset` + `run_to_convergence_masked` — and a rebuild
-    /// over a dirty engine (post-event, pre-flush) must scrub every trace
-    /// of the stale state.
+    /// The full rebuild against both roots directly: random fields, radii,
+    /// k and liveness masks, rebuilt at 1, 2, 8 and 16 ranges. Tables and
+    /// stats must be bit-identical to the reference rebuild — and a
+    /// rebuild over a stale engine (built for another topology) must
+    /// scrub every trace of the old state.
     #[test]
     fn sharded_full_rebuild_matches_the_root_oracle(
         cols in 3usize..8,
@@ -341,58 +330,30 @@ proptest! {
         for d in &dead {
             alive[*d as usize % n] = false;
         }
-
         let zones = ZoneTable::build(&topo, &radio, radius);
-        let mut root = DbfEngine::new(&zones, k);
-        root.reset(&zones, &alive);
-        let want = root.run_to_convergence_masked(&zones, &alive);
-        for shards in [1usize, 2, 8, 16] {
-            let mut engine = DbfEngine::new(&zones, k).with_shards(shards);
-            let got = engine.rebuild_sharded(&zones, &alive);
-            prop_assert_eq!(&got, &want, "fresh rebuild stats at {} shards", shards);
-            for i in 0..n {
-                let node = NodeId::new(i as u32);
-                prop_assert_eq!(
-                    engine.table(node),
-                    root.table(node),
-                    "{} shards: node {} diverged on the fresh rebuild",
-                    shards,
-                    node
-                );
-            }
+        let mut engines = rebuilt_engines(&zones, k, &alive, &SHARDS)?;
+        assert_all_match_root(&as_refs(&engines), &zones, &alive, "fresh rebuild")?;
 
-            // Perturb the world, then rebuild from scratch over the now
-            // stale engine: the rebuild must depend only on its inputs.
-            let moved = NodeId::new(mover as u32 % n as u32);
-            let field = topo.field();
-            topo.move_node(moved, Point::new(fx * field.width, fy * field.height));
-            let new_zones = ZoneTable::build(&topo, &radio, radius);
-            let mut new_root = DbfEngine::new(&new_zones, k);
-            new_root.reset(&new_zones, &alive);
-            let new_want = new_root.run_to_convergence_masked(&new_zones, &alive);
-            let new_got = engine.rebuild_sharded(&new_zones, &alive);
-            prop_assert_eq!(&new_got, &new_want, "stale rebuild stats at {} shards", shards);
-            for i in 0..n {
-                let node = NodeId::new(i as u32);
-                prop_assert_eq!(
-                    engine.table(node),
-                    new_root.table(node),
-                    "{} shards: node {} diverged on the post-move rebuild",
-                    shards,
-                    node
-                );
-            }
-            // Undo the move so every shard count sees the same start state.
-            topo = placement::grid(cols, rows, 5.0).unwrap();
+        // Perturb the world, then rebuild from scratch over the now stale
+        // engines: the rebuild must depend only on its inputs.
+        let moved = NodeId::new(mover as u32 % n as u32);
+        let field = topo.field();
+        topo.move_node(moved, Point::new(fx * field.width, fy * field.height));
+        let new_zones = ZoneTable::build(&topo, &radio, radius);
+        let (_, want) = common::rebuild(&new_zones, k, &alive);
+        for (shards, engine) in &mut engines {
+            let got = engine.rebuild_sharded(&new_zones, &alive);
+            prop_assert_eq!(&got, &want, "stale rebuild stats at {} shards", shards);
         }
+        assert_all_match_root(&as_refs(&engines), &new_zones, &alive, "post-move rebuild")?;
     }
 
     /// Dropping a pool-bearing engine mid-sequence and rebuilding a fresh
     /// one must neither deadlock (the dropped pool joins its parked
     /// workers) nor leak stale round data into the replacement: at every
-    /// step the sequential and sharded engines agree with the root
-    /// oracle, whether the sharded engine survived from the previous step
-    /// or was just recreated.
+    /// step the one-range and many-range engines agree with both roots,
+    /// whether the many-range engine survived from the previous step or
+    /// was just recreated.
     #[test]
     fn engine_drop_and_rebuild_mid_sequence_keeps_the_chain_exact(
         cols in 4usize..8,
@@ -408,9 +369,9 @@ proptest! {
         let alive = vec![true; n];
 
         let mut seq = DbfEngine::new(&zones, 2);
-        seq.run_to_convergence(&zones);
+        seq.rebuild_sharded(&zones, &alive);
         let mut sharded = DbfEngine::new(&zones, 2).with_shards(shards);
-        sharded.run_to_convergence(&zones);
+        sharded.rebuild_sharded(&zones, &alive);
 
         for (step, &(node, fx, fy, recycle)) in steps.iter().enumerate() {
             let moved = NodeId::new(node as u32 % n as u32);
@@ -422,19 +383,19 @@ proptest! {
             prop_assert_eq!(&got, &want, "step {}: stats diverged", step);
             zones = new_zones;
             assert_all_match_root(
-                &[("sequential", &seq), ("sharded", &sharded)],
+                &[(1, &seq), (shards, &sharded)],
                 &zones,
                 &alive,
                 &format!("step {step} (shards {shards})"),
             )?;
             if recycle {
                 // Mid-simulation engine teardown: the old pool's workers
-                // join here, and the replacement starts cold from a
-                // sharded full rebuild of the current world.
+                // join here, and the replacement starts cold from a full
+                // rebuild of the current world.
                 sharded = DbfEngine::new(&zones, 2).with_shards(shards);
                 sharded.rebuild_sharded(&zones, &alive);
                 assert_all_match_root(
-                    &[("rebuilt sharded", &sharded)],
+                    &[(shards, &sharded)],
                     &zones,
                     &alive,
                     &format!("post-recycle at step {step} (shards {shards})"),

@@ -3,13 +3,15 @@
 //! ```text
 //! repro [fig3|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|ext1|ext2|ext3|ext4|ext5|ext6|table1|breakeven|all]...
 //!       [--scale smoke|quick|paper] [--seed N] [--seeds R] [--out DIR] [--workers W]
-//!       [--event-kernel heap|wheel|wheel-batched] [--table-layout soa|aos]
+//!       [--event-kernel heap|wheel|wheel-batched]
 //!       [--adversary-fraction F] [--adversary-behavior B] [--attack-start MS]
 //!       [--attack-factor K] [--churn-rate F] [--contact-plan FILE]
 //! ```
 //!
-//! Markdown goes to stdout; CSVs and their machine-readable JSON twins are
-//! written under `--out` (default `results/`). With `--seeds R` (R > 1)
+//! A target that is neither one of these IDs nor `all` is an error (exit
+//! code 2), as is an unknown flag. Markdown goes to stdout; CSVs and their
+//! machine-readable JSON twins are written under `--out` (default
+//! `results/`). With `--seeds R` (R > 1)
 //! every simulation figure is replicated over R seeds and reported as
 //! mean ± 95% CI (analytical figures are seed-free and unaffected);
 //! replicated output is the `{id}_ci.csv` aggregate only — no JSON twin,
@@ -22,16 +24,13 @@
 //! runs on (binary heap, timer wheel, or timer wheel with batched
 //! same-timestamp dispatch) — likewise wall-clock only: RunMetrics are
 //! byte-identical across kernels, so CI diffs a heap run against a wheel
-//! run the same way. `--table-layout` selects the routing-arena layout
-//! (SoA relaxation planes, the default, or the original array-of-structs
-//! oracle) — the third wall-clock-only knob: RunMetrics are bit-identical
-//! across layouts, so CI byte-diffs an `aos` run against a `soa` run too.
+//! run the same way.
 //!
 //! `--adversary-fraction`, `--adversary-behavior` (honest, flooding,
 //! silent-dropper, metadata-liar), `--attack-start` (ms),
 //! `--attack-factor`, and `--churn-rate` inject adversarial behavior and
 //! mass join/leave churn into every figure whose specs did not pin their
-//! own (EXT5 pins its own sweep and is immune). Unlike the three knobs
+//! own (EXT5 pins its own sweep and is immune). Unlike the two knobs
 //! above these are **semantic** — they change results exactly like a seed
 //! does — but under any fixed setting the wall-clock knobs still cannot
 //! change a byte, which is what the adversarial-smoke CI step verifies.
@@ -44,16 +43,37 @@
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
-use spms::{EventKernel, TableLayout};
+use spms::EventKernel;
 use spms_kernel::SimTime;
 use spms_net::ContactPlan;
 use spms_workloads::figures;
 use spms_workloads::{
     render_ascii_chart, render_csv, render_json, render_markdown, render_replicated_csv,
     render_replicated_markdown, replicate, set_default_adversary, set_default_contact_plan,
-    set_default_event_kernel, set_default_table_layout, set_default_workers, AdversaryOverride,
-    FigureResult, Scale,
+    set_default_event_kernel, set_default_workers, AdversaryOverride, FigureResult, Scale,
 };
+
+/// Every target ID `repro` knows, besides `all`.
+const TARGETS: [&str; 18] = [
+    "fig3",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "fig9",
+    "fig10",
+    "fig11",
+    "fig12",
+    "fig13",
+    "ext1",
+    "ext2",
+    "ext3",
+    "ext4",
+    "ext5",
+    "ext6",
+    "table1",
+    "breakeven",
+];
 
 struct Args {
     targets: BTreeSet<String>,
@@ -64,7 +84,6 @@ struct Args {
     out: PathBuf,
     workers: usize,
     event_kernel: EventKernel,
-    table_layout: TableLayout,
     adversary: AdversaryOverride,
     contact_plan: Option<ContactPlan>,
 }
@@ -77,7 +96,6 @@ fn parse_args() -> Result<Args, String> {
     let mut out = PathBuf::from("results");
     let mut workers = 0usize;
     let mut event_kernel = EventKernel::Heap;
-    let mut table_layout = TableLayout::Soa;
     let mut adversary = AdversaryOverride::default();
     let mut contact_plan = None;
     let mut argv = std::env::args().skip(1);
@@ -115,9 +133,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--event-kernel" => {
                 event_kernel = argv.next().ok_or("--event-kernel needs a value")?.parse()?;
-            }
-            "--table-layout" => {
-                table_layout = argv.next().ok_or("--table-layout needs a value")?.parse()?;
             }
             "--adversary-fraction" => {
                 let v: f64 = argv
@@ -166,7 +181,6 @@ fn parse_args() -> Result<Args, String> {
                 return Err("usage: repro [FIGURES|all] [--scale smoke|quick|paper] \
                             [--seed N] [--seeds R] [--out DIR] [--workers W] \
                             [--event-kernel heap|wheel|wheel-batched] \
-                            [--table-layout soa|aos] \
                             [--adversary-fraction F] \
                             [--adversary-behavior honest|flooding|silent-dropper|metadata-liar] \
                             [--attack-start MS] [--attack-factor K] [--churn-rate F] \
@@ -176,8 +190,14 @@ fn parse_args() -> Result<Args, String> {
             other if other.starts_with('-') => {
                 return Err(format!("unknown flag {other}"));
             }
-            other => {
+            other if other == "all" || TARGETS.contains(&other) => {
                 targets.insert(other.to_string());
+            }
+            other => {
+                return Err(format!(
+                    "unknown target {other} (valid targets: {} all)",
+                    TARGETS.join(" ")
+                ));
             }
         }
     }
@@ -199,7 +219,6 @@ fn parse_args() -> Result<Args, String> {
         out,
         workers,
         event_kernel,
-        table_layout,
         adversary,
         contact_plan,
     })
@@ -260,19 +279,17 @@ fn main() {
         }
     };
     // Route every figure sweep through a pool of the requested size
-    // (0 = auto), onto the requested event kernel, and onto the requested
-    // routing-arena layout. All three are purely wall-clock: outputs are
-    // byte-identical for every combination.
+    // (0 = auto) and onto the requested event kernel. Both are purely
+    // wall-clock: outputs are byte-identical for every combination.
     set_default_workers(args.workers);
     set_default_event_kernel(args.event_kernel);
-    set_default_table_layout(args.table_layout);
     // The semantic overrides (adversary/churn and the contact plan) —
     // only figures that leave those config slots unset pick them up.
     set_default_adversary(args.adversary);
     set_default_contact_plan(args.contact_plan.clone());
     let t = &args.targets;
     eprintln!(
-        "repro: scale={} seed={} workers={} event-kernel={} table-layout={} targets={:?}",
+        "repro: scale={} seed={} workers={} event-kernel={} targets={:?}",
         args.scale_name,
         args.seed,
         if args.workers == 0 {
@@ -281,7 +298,6 @@ fn main() {
             args.workers.to_string()
         },
         args.event_kernel,
-        args.table_layout,
         t
     );
     if let Some(plan) = &args.contact_plan {

@@ -17,8 +17,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use spms::{
-    AdversaryConfig, EventKernel, NodeBehavior, RunMetrics, SimConfig, Simulation, TableLayout,
-    TrafficPlan,
+    AdversaryConfig, EventKernel, NodeBehavior, RunMetrics, SimConfig, Simulation, TrafficPlan,
 };
 use spms_kernel::SimTime;
 use spms_net::{ChurnConfig, ContactPlan, Topology};
@@ -223,40 +222,10 @@ pub fn default_event_kernel() -> EventKernel {
     }
 }
 
-/// Process-wide routing-table layout applied to every spec the executor
-/// runs (stored as the enum's discriminant; 0 = SoA, the default).
-static DEFAULT_TABLE_LAYOUT: AtomicUsize = AtomicUsize::new(0);
-
-/// Routes every sweep that goes through [`run_specs`] — all the `figures`
-/// generators, and through them the `repro` bin's `--table-layout` flag —
-/// onto the given routing-arena layout, overriding each spec's
-/// `SimConfig::table_layout`. Like the event kernel, the layout can never
-/// change results, only wall-clock time (proven bit-identical by the
-/// layout-differential suites in `spms-routing` and re-checked end to end
-/// in `tests/integration_determinism.rs`), which is what lets CI byte-diff
-/// figure JSON across layouts.
-pub fn set_default_table_layout(layout: TableLayout) {
-    let code = match layout {
-        TableLayout::Soa => 0,
-        TableLayout::Aos => 1,
-    };
-    DEFAULT_TABLE_LAYOUT.store(code, Ordering::Relaxed);
-}
-
-/// The process-wide routing-table layout (see
-/// [`set_default_table_layout`]).
-#[must_use]
-pub fn default_table_layout() -> TableLayout {
-    match DEFAULT_TABLE_LAYOUT.load(Ordering::Relaxed) {
-        1 => TableLayout::Aos,
-        _ => TableLayout::Soa,
-    }
-}
-
 /// Process-wide adversary/churn override applied to every spec the
 /// executor runs (the `repro` bin's `--adversary-*` / `--churn-rate`
-/// flags). Unlike the worker pool, event kernel, and table layout — pure
-/// wall-clock knobs — this one is **semantic**: it changes what the
+/// flags). Unlike the worker pool and event kernel — pure wall-clock
+/// knobs — this one is **semantic**: it changes what the
 /// simulation computes, exactly like a seed. It only fills in specs whose
 /// config left `adversary` / `churn` unset, so figure generators that pin
 /// their own adversarial settings (EXT5) are immune.
@@ -322,7 +291,7 @@ static DEFAULT_ADVERSARY: Mutex<AdversaryOverride> = Mutex::new(AdversaryOverrid
 /// `--adversary-behavior`, `--attack-start`, `--attack-factor`, and
 /// `--churn-rate` flags. A **semantic** knob: byte-diffing figure JSON
 /// across different overrides is expected to differ; byte-diffing across
-/// worker/kernel/layout knobs under the *same* override must not.
+/// worker/kernel knobs under the *same* override must not.
 pub fn set_default_adversary(over: AdversaryOverride) {
     *DEFAULT_ADVERSARY.lock().expect("override mutex poisoned") = over;
 }
@@ -369,7 +338,6 @@ fn run_one(spec: &RunSpec) -> Result<RunMetrics, String> {
     let run = || {
         let mut config = spec.config.clone();
         config.event_kernel = default_event_kernel();
-        config.table_layout = default_table_layout();
         default_adversary().apply(&mut config);
         if config.contact_plan.is_none() {
             config.contact_plan = default_contact_plan();

@@ -443,15 +443,11 @@ pub fn fig12(scale: &Scale, seed: u64) -> FigureResult {
         .fold((0, 0), |(p, r), (_, m)| {
             (p + m.routing.zone_patches, r + m.routing.zone_rows_patched)
         });
-    let (sharded_execs, batch_windows, coalesced) = results
+    let (batch_windows, coalesced) = results
         .iter()
         .filter(|(l, _)| l.starts_with("SPMS"))
-        .fold((0, 0, 0), |(s, w, c), (_, m)| {
-            (
-                s + m.routing.sharded_executions,
-                w + m.routing.batch_windows,
-                c + m.routing.epochs_coalesced,
-            )
+        .fold((0, 0), |(w, c), (_, m)| {
+            (w + m.routing.batch_windows, c + m.routing.epochs_coalesced)
         });
     FigureResult {
         id: "fig12",
@@ -473,7 +469,7 @@ pub fn fig12(scale: &Scale, seed: u64) -> FigureResult {
                  ({zone_rows} rows rebuilt vs a full O(n²) build per epoch)"
             ),
             format!(
-                "{sharded_execs} delta re-convergences ran through the zone-shard \
+                "{delta_execs} delta re-convergences ran through the zone-shard \
                  planner over {batch_windows} batching windows \
                  ({coalesced} epochs coalesced at batch_epochs = 1)"
             ),
@@ -1194,22 +1190,6 @@ mod tests {
     }
 
     #[test]
-    fn fig12_figure_is_table_layout_independent() {
-        use crate::experiment::set_default_table_layout;
-        use spms::TableLayout;
-        // The sweep-smoke CI step byte-diffs fig12's JSON across
-        // `--table-layout soa|aos`; assert the same equality in-process —
-        // the routing-arena layout is a wall-clock knob only, never a
-        // results knob.
-        let scale = Scale::smoke();
-        let soa = fig12(&scale, 5);
-        set_default_table_layout(TableLayout::Aos);
-        let aos = fig12(&scale, 5);
-        set_default_table_layout(TableLayout::Soa);
-        assert_eq!(aos, soa, "aos vs soa");
-    }
-
-    #[test]
     fn table1_and_breakeven_render() {
         let t = table1();
         assert!(t.contains("3.1622"));
@@ -1238,18 +1218,17 @@ mod tests {
         for m in &spms {
             assert_eq!(m.routing.zone_patches, m.mobility_epochs);
             assert_eq!(m.routing.incremental_executions, m.mobility_epochs);
-            assert_eq!(m.routing.sharded_executions, m.mobility_epochs);
             assert_eq!(m.routing.batch_windows, m.mobility_epochs);
             assert_eq!(m.routing.epochs_coalesced, 0);
         }
         let fig = fig12(&scale, 7);
-        let sharded: u64 = spms.iter().map(|m| m.routing.sharded_executions).sum();
+        let delta: u64 = spms.iter().map(|m| m.routing.incremental_executions).sum();
         let windows: u64 = spms.iter().map(|m| m.routing.batch_windows).sum();
         let patches: u64 = spms.iter().map(|m| m.routing.zone_patches).sum();
         assert!(
             fig.notes
                 .iter()
-                .any(|n| n.contains(&format!("{sharded} delta re-convergences"))
+                .any(|n| n.contains(&format!("{delta} delta re-convergences"))
                     && n.contains(&format!("{windows} batching windows"))),
             "shard/batch counters missing from notes: {:?}",
             fig.notes
@@ -1301,8 +1280,8 @@ mod tests {
 
     #[test]
     fn ext5_adversary_figure_degrades_delivery_and_is_knob_independent() {
-        use crate::experiment::{set_default_event_kernel, set_default_table_layout};
-        use spms::{EventKernel, TableLayout};
+        use crate::experiment::set_default_event_kernel;
+        use spms::EventKernel;
         let scale = Scale::smoke();
         let base = ext5(&scale, 9);
         assert_eq!(base.series.len(), 6, "delivery + energy per protocol");
@@ -1329,26 +1308,22 @@ mod tests {
             "notes must surface the adversary counters: {:?}",
             base.notes
         );
-        // Adversaries and churn are semantic knobs; kernels, layouts, and
-        // worker pools stay wall-clock-only even under attack. The
+        // Adversaries and churn are semantic knobs; kernels and worker
+        // pools stay wall-clock-only even under attack. The
         // adversarial-smoke CI step byte-diffs this figure's JSON across
-        // --workers; assert the kernel/layout legs in-process.
+        // --workers; assert the kernel leg in-process.
         for kernel in [EventKernel::Wheel, EventKernel::WheelBatched] {
             set_default_event_kernel(kernel);
             let got = ext5(&scale, 9);
             set_default_event_kernel(EventKernel::Heap);
             assert_eq!(got, base, "{kernel} vs heap");
         }
-        set_default_table_layout(TableLayout::Aos);
-        let aos = ext5(&scale, 9);
-        set_default_table_layout(TableLayout::Soa);
-        assert_eq!(aos, base, "aos vs soa");
     }
 
     #[test]
     fn ext6_contact_figure_degrades_delivery_and_is_knob_independent() {
-        use crate::experiment::{set_default_event_kernel, set_default_table_layout};
-        use spms::{EventKernel, TableLayout};
+        use crate::experiment::set_default_event_kernel;
+        use spms::EventKernel;
         let scale = Scale::smoke();
         let (base, energy) = ext6(&scale, 11);
         assert_eq!(base.series.len(), 3, "delivery per protocol");
@@ -1389,11 +1364,10 @@ mod tests {
             "energy notes must round-trip the schedule: {:?}",
             energy.notes
         );
-        // The contact plan is a semantic knob; kernels, layouts, and
-        // worker pools stay wall-clock-only even under scheduled
-        // connectivity. The sweep-smoke CI step byte-diffs this figure's
-        // JSON across --workers and --event-kernel; assert the
-        // kernel/layout legs in-process.
+        // The contact plan is a semantic knob; kernels and worker pools
+        // stay wall-clock-only even under scheduled connectivity. The
+        // sweep-smoke CI step byte-diffs this figure's JSON across
+        // --workers and --event-kernel; assert the kernel leg in-process.
         for kernel in [EventKernel::Wheel, EventKernel::WheelBatched] {
             set_default_event_kernel(kernel);
             let got = ext6(&scale, 11);
@@ -1401,11 +1375,6 @@ mod tests {
             assert_eq!(got.0, base, "{kernel} vs heap");
             assert_eq!(got.1, energy, "{kernel} vs heap (energy)");
         }
-        set_default_table_layout(TableLayout::Aos);
-        let aos = ext6(&scale, 11);
-        set_default_table_layout(TableLayout::Soa);
-        assert_eq!(aos.0, base, "aos vs soa");
-        assert_eq!(aos.1, energy, "aos vs soa (energy)");
     }
 
     #[test]

@@ -39,9 +39,8 @@ pub mod traffic;
 
 pub use contact_plans::{interregional, satellite_passes};
 pub use experiment::{
-    default_adversary, default_contact_plan, default_event_kernel, default_sweep_config,
-    default_table_layout, run_specs, run_specs_with, set_default_adversary,
-    set_default_contact_plan, set_default_event_kernel, set_default_table_layout,
+    default_adversary, default_contact_plan, default_event_kernel, default_sweep_config, run_specs,
+    run_specs_with, set_default_adversary, set_default_contact_plan, set_default_event_kernel,
     set_default_workers, try_run_specs, AdversaryOverride, RunSpec, Scale, SweepConfig,
 };
 pub use figures::{FigureResult, SeriesData};

@@ -4,7 +4,7 @@
 //!
 //! 1. **Knob matrix** — adversary/churn are *semantic* knobs (they change
 //!    results like a seed does), but under any fixed adversarial setting
-//!    the wall-clock knobs (event kernel, table layout, DBF shards, sweep
+//!    the wall-clock knobs (event kernel, DBF shards, sweep
 //!    workers) still cannot change a single byte of [`spms::RunMetrics`],
 //!    including the new [`spms::AdversaryStats`] counters.
 //! 2. **Seeded proptest fuzzer** — random adversary/churn schedules drive
@@ -20,7 +20,7 @@ use proptest::prelude::*;
 
 use spms::{
     AdversaryConfig, EventKernel, NodeBehavior, ProtocolKind, RoutingMode, RunMetrics, SimConfig,
-    Simulation, TableLayout,
+    Simulation,
 };
 use spms_kernel::SimTime;
 use spms_net::{placement, ChurnConfig, FailureConfig, MobilityConfig};
@@ -58,7 +58,7 @@ fn run(config: SimConfig, seed: u64) -> RunMetrics {
 #[test]
 fn wall_clock_knobs_cannot_change_adversarial_results() {
     // The full matrix from the determinism suite, replayed under attack:
-    // 3 event kernels x 2 table layouts x shards {1, auto, 16} must all
+    // 3 event kernels x shards {1, auto, 16} must all
     // produce the reference bytes, AdversaryStats included.
     let seed = 61;
     let reference = run(adversarial_config(seed, NodeBehavior::Flooding, 0.25), seed);
@@ -71,18 +71,12 @@ fn wall_clock_knobs_cannot_change_adversarial_results() {
         EventKernel::Wheel,
         EventKernel::WheelBatched,
     ] {
-        for layout in [TableLayout::Soa, TableLayout::Aos] {
-            for shards in [1usize, 0, 16] {
-                let mut config = adversarial_config(seed, NodeBehavior::Flooding, 0.25);
-                config.event_kernel = kernel;
-                config.table_layout = layout;
-                config.dbf_shards = shards;
-                let got = run(config, seed);
-                assert_eq!(
-                    got, reference,
-                    "kernel={kernel} layout={layout} shards={shards}"
-                );
-            }
+        for shards in [1usize, 0, 16] {
+            let mut config = adversarial_config(seed, NodeBehavior::Flooding, 0.25);
+            config.event_kernel = kernel;
+            config.dbf_shards = shards;
+            let got = run(config, seed);
+            assert_eq!(got, reference, "kernel={kernel} shards={shards}");
         }
     }
 }

@@ -11,13 +11,11 @@
 //!    `batch_epochs ∈ {1, 4}`.
 //! 2. **Knob matrix.** A contact-driven run (scheduled flips layered on
 //!    mobility) must be byte-identical between the incremental and
-//!    full-rebuild oracles across every event kernel × table layout ×
-//!    shard count combination — wall-clock knobs stay wall-clock even
+//!    full-rebuild oracles across every event kernel × shard count
+//!    combination — wall-clock knobs stay wall-clock even
 //!    under scheduled connectivity.
 
-use spms::{
-    EventKernel, ProtocolKind, RoutingMode, RunMetrics, SimConfig, Simulation, TableLayout,
-};
+use spms::{EventKernel, ProtocolKind, RoutingMode, RunMetrics, SimConfig, Simulation};
 use spms_kernel::SimTime;
 use spms_net::{placement, ContactPlan, MobilityConfig, NodeId};
 use spms_workloads::traffic;
@@ -105,7 +103,7 @@ fn contact_window_edges_match_the_full_rebuild_oracle() {
 
 /// The acceptance matrix: a contact-driven run stays byte-identical
 /// between the incremental and full-rebuild oracles across 3 kernels ×
-/// 2 layouts × shards {1, auto, 16}.
+/// shards {1, auto, 16}.
 #[test]
 fn contact_runs_survive_the_full_knob_matrix() {
     let text = "5 6 0 0.4\n5 6 0.8 1.2\n9 10 0.3 0.9\n0 1 0.25 0.45\n";
@@ -115,32 +113,29 @@ fn contact_runs_survive_the_full_knob_matrix() {
         EventKernel::Wheel,
         EventKernel::WheelBatched,
     ] {
-        for layout in [TableLayout::Soa, TableLayout::Aos] {
-            for shards in [1usize, 0, 16] {
-                let configure = |incremental: bool| {
-                    let mut config = contact_config(23, text);
-                    config.event_kernel = kernel;
-                    config.table_layout = layout;
-                    config.dbf_shards = shards;
-                    run(config, incremental, 1)
-                };
-                let incremental = configure(true);
-                let reference = configure(false);
-                assert_eq!(
-                    scrub_path_accounting(incremental.clone()),
-                    scrub_path_accounting(reference),
-                    "{kernel}/{layout}/shards={shards}: incremental vs full rebuild"
-                );
-                match &baseline {
-                    None => {
-                        assert!(incremental.routing.contact_epochs > 0, "plan must fire");
-                        baseline = Some(incremental);
-                    }
-                    Some(base) => assert_eq!(
-                        &incremental, base,
-                        "{kernel}/{layout}/shards={shards}: knobs must stay wall-clock-only"
-                    ),
+        for shards in [1usize, 0, 16] {
+            let configure = |incremental: bool| {
+                let mut config = contact_config(23, text);
+                config.event_kernel = kernel;
+                config.dbf_shards = shards;
+                run(config, incremental, 1)
+            };
+            let incremental = configure(true);
+            let reference = configure(false);
+            assert_eq!(
+                scrub_path_accounting(incremental.clone()),
+                scrub_path_accounting(reference),
+                "{kernel}/shards={shards}: incremental vs full rebuild"
+            );
+            match &baseline {
+                None => {
+                    assert!(incremental.routing.contact_epochs > 0, "plan must fire");
+                    baseline = Some(incremental);
                 }
+                Some(base) => assert_eq!(
+                    &incremental, base,
+                    "{kernel}/shards={shards}: knobs must stay wall-clock-only"
+                ),
             }
         }
     }

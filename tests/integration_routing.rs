@@ -16,7 +16,7 @@ fn zones_for(cols: usize, rows: usize, radius: f64) -> ZoneTable {
 fn dbf_matches_oracle_on_the_reference_grid() {
     let zones = zones_for(7, 7, 20.0);
     let mut dbf = DbfEngine::new(&zones, 2);
-    dbf.run_to_convergence(&zones);
+    dbf.rebuild_sharded(&zones, &vec![true; zones.len()]);
     let oracle = oracle_tables(&zones, 2);
     for (i, table) in oracle.iter().enumerate() {
         let node = NodeId::new(i as u32);
@@ -39,7 +39,7 @@ fn dbf_matches_oracle_on_random_topologies() {
         let topo = placement::uniform_random(40, 5.0, &mut rng).unwrap();
         let zones = ZoneTable::build(&topo, &RadioProfile::mica2(), 20.0);
         let mut dbf = DbfEngine::new(&zones, 2);
-        dbf.run_to_convergence(&zones);
+        dbf.rebuild_sharded(&zones, &vec![true; zones.len()]);
         let oracle = oracle_tables(&zones, 2);
         for (i, table) in oracle.iter().enumerate() {
             let node = NodeId::new(i as u32);
@@ -63,8 +63,8 @@ fn convergence_cost_grows_with_zone_size() {
     let large = zones_for(9, 9, 25.0);
     let mut dbf_s = DbfEngine::new(&small, 2);
     let mut dbf_l = DbfEngine::new(&large, 2);
-    let cost_s = dbf_s.run_to_convergence(&small);
-    let cost_l = dbf_l.run_to_convergence(&large);
+    let cost_s = dbf_s.rebuild_sharded(&small, &vec![true; small.len()]);
+    let cost_l = dbf_l.rebuild_sharded(&large, &vec![true; large.len()]);
     assert!(cost_l.bytes_total > cost_s.bytes_total);
     assert!(cost_l.entries_sent > cost_s.entries_sent);
 }
@@ -109,8 +109,7 @@ fn masked_reruns_reflect_failed_relays() {
     let mut alive = vec![true; 5];
     alive[2] = false; // the middle relay is down
     let mut dbf = DbfEngine::new(&zones, 2);
-    dbf.reset(&zones, &alive);
-    dbf.run_to_convergence_masked(&zones, &alive);
+    dbf.rebuild_sharded(&zones, &alive);
     // Node 0 still reaches node 4 (20 m apart: direct at max level) but no
     // route may pass through the dead node 2.
     let best = dbf.table(NodeId::new(0)).best(NodeId::new(4)).unwrap();

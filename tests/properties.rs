@@ -32,7 +32,7 @@ proptest! {
         let topo = placement::uniform_random(n, 5.0, &mut rng).unwrap();
         let zones = ZoneTable::build(&topo, &RadioProfile::mica2(), radius);
         let mut dbf = DbfEngine::new(&zones, k);
-        dbf.run_to_convergence(&zones);
+        dbf.rebuild_sharded(&zones, &vec![true; zones.len()]);
         let oracle = oracle_tables(&zones, k);
         for (i, table) in oracle.iter().enumerate() {
             let node = NodeId::new(i as u32);
